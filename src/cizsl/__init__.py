@@ -6,7 +6,7 @@ from .divergence import DivergenceParams, batch_minmax_normalize, entropy_loss_l
 from .evaluate import (ClassCenters, SeenUnseenCurve, harmonic_mean,
                        retrieval_precision, seen_unseen_curve, synthesize_centers,
                        zsl_top1)
-from .losses import creativity_loss, discriminator_loss, generator_loss, hallucinate_text
+from .losses import creativity_loss, discriminator_loss, generator_loss
 from .net import (Discriminator, DiscriminatorArch, Generator, GeneratorArch,
                   MlpNetwork, build_discriminator, build_generator,
                   load_checkpoint, save_checkpoint)

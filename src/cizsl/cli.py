@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .errors import (CizslError, DatasetFormatError, InvalidConfigError,
                      TrainingDivergedError)
 from .evaluate import (ClassCenters, curve_csv, curve_svg, harmonic_mean,
                        retrieval_precision, seen_unseen_curve, synthesize_centers,
-                       zsl_top1)
+                       valid_retrieval_ratio, zsl_top1)
 from .gradcheck import run_gradient_contract
 from .net import load_checkpoint, save_checkpoint
 from .numerics import RngStream, STREAM_EVAL
@@ -35,6 +36,17 @@ _INPUT_ERRORS = (InvalidConfigError, InvalidInputError, InvalidSplitError,
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
+
+
+def _float_list(text: str, flag: str) -> list[float]:
+    """Finite numbers from a comma-separated command-line value."""
+    try:
+        values = [float(x) for x in text.split(",") if x.strip() != ""]
+        if all(math.isfinite(v) for v in values):
+            return values
+    except ValueError:
+        pass
+    raise InvalidConfigError(f"{flag} must be a comma list of finite numbers, got {text!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,6 +63,12 @@ class EvalOptions:
             raise InvalidConfigError(f"eval.metric must be l2 or cosine, got {self.metric!r}")
         if self.calibration_points < 1:
             raise InvalidConfigError("eval.calibration_points must be >= 1")
+        ratios = self.retrieval_ratios
+        if not (isinstance(ratios, (tuple, list)) and ratios
+                and all(valid_retrieval_ratio(r) for r in ratios)):
+            raise InvalidConfigError(
+                f"eval.retrieval_ratios must be a non-empty list of finite numbers > 0, "
+                f"got {ratios!r}")
         return self
 
 
@@ -238,10 +256,11 @@ def cmd_eval(args) -> int:
 
 def cmd_retrieve(args) -> int:
     cfg, dataset, gen, _ = _load_eval_inputs(args)
-    unseen_centers = _unseen_centers(cfg, dataset, gen)
     ratios = cfg.eval.retrieval_ratios
     if args.ratios:
-        ratios = tuple(float(r) for r in args.ratios.split(","))
+        ratios = tuple(_float_list(args.ratios, "--ratios"))
+        dataclasses.replace(cfg.eval, retrieval_ratios=ratios).validate()
+    unseen_centers = _unseen_centers(cfg, dataset, gen)
     precisions = retrieval_precision(dataset.features, dataset.labels,
                                      unseen_centers, ratios=ratios,
                                      metric=cfg.eval.metric)
@@ -271,7 +290,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    report = run_gradient_contract(seed=args.seed or 0, corrupt=args.corrupt)
+    report = run_gradient_contract(seed=args.seed or 0)
     for line in report.lines():
         print(line)
     if not report.passed:
@@ -284,7 +303,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_sweep_lambda(args) -> int:
     cfg = load_experiment_config(args.config, seed=args.seed, out_dir=args.out)
     dataset = cfg.load_data()
-    grid = [float(x) for x in args.grid.split(",") if x.strip() != ""]
+    grid = _float_list(args.grid, "--grid")
     best, rows = cross_validate_lambda(dataset, cfg.train, grid)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -330,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference contract over all losses")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corrupt", action="store_true",
-                   help="debug: corrupt one gradient to exercise the harness")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("sweep-lambda", help="cross-validate the creativity weight")

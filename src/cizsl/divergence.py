@@ -118,13 +118,6 @@ def _log_terms(p: np.ndarray, q: np.ndarray, gamma: float) -> np.ndarray:
     return np.where(p > 0.0, lt, -np.inf)
 
 
-def _log_power_sum(p: np.ndarray, q: np.ndarray, gamma: float) -> np.ndarray:
-    """ln S with S = sum_i p_i^gamma q_i^(1-gamma), computed via log-sum-exp."""
-    lt = _log_terms(p, q, gamma)
-    m = np.max(lt, axis=-1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(lt - m), axis=-1, keepdims=True)))[..., 0]
-
-
 def _kl_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """p_i ln(p_i/q_i) with the 0 ln 0 := 0 convention."""
     safe_p = np.maximum(p, _TINY)
@@ -143,57 +136,67 @@ def _kl_second_moment(p, q):
     return np.sum(np.where(p > 0.0, p * ratio * ratio, 0.0), axis=-1)
 
 
-def _bhattacharyya_value(p, q):
-    return -np.log(np.sum(np.sqrt(p * q), axis=-1))
+def _sm_batch(p: np.ndarray, q: np.ndarray, params: DivergenceParams):
+    """Per-row divergence and its partials for 2-D inputs (rows are
+    distributions): (values, d/dp rows, d/dgamma rows, d/dbeta rows).
 
-
-def _renyi_value(p, q, gamma):
-    return _log_power_sum(p, q, gamma) / (gamma - 1.0)
-
-
-def _tsallis_value(p, q, gamma):
-    s = np.exp(_log_power_sum(p, q, gamma))
-    return (s - 1.0) / (gamma - 1.0)
-
-
-def _sm_value_batch(p: np.ndarray, q: np.ndarray, params: DivergenceParams) -> np.ndarray:
-    """Divergence per row for 2-D inputs (rows are distributions)."""
+    Within the guard strip the values and gradients are those of the
+    dispatched limit formula, including the exact cross-terms
+        d SM/d beta |_{beta->1}  = ln^2(S) / (2 (1-gamma)^2)
+        d SM/d gamma|_{gamma->1} = e^{(beta-1) KL} (M - KL^2) / 2
+    with M = sum p ln^2(p/q), so training can traverse the strip smoothly.
+    """
     gamma, beta, eps = params.gamma, params.beta, params.guard_eps
     mode = params.mode
+    zeros = np.zeros(p.shape[0])
+
     if mode == "kl":
-        return _kl_value(p, q)
+        return _kl_value(p, q), _kl_grad_p(p, q), zeros, zeros
     if mode == "bhattacharyya":
-        return _bhattacharyya_value(p, q)
-    if mode == "renyi":
-        if abs(gamma - 1.0) < eps:
-            return _kl_value(p, q)
-        return _renyi_value(p, q, gamma)
-    if mode == "tsallis":
-        if abs(gamma - 1.0) < eps:
-            return _kl_value(p, q)
-        return _tsallis_value(p, q, gamma)
-    # sharma-mittal
-    near_g = abs(gamma - 1.0) < eps
+        bc = np.sum(np.sqrt(p * q), axis=-1, keepdims=True)
+        dp = -0.5 * np.sqrt(np.maximum(q, _TINY) / np.maximum(p, _TINY)) / bc
+        return -np.log(bc[:, 0]), dp, zeros, zeros
+
     near_b = abs(beta - 1.0) < eps
-    if near_g and near_b:
-        return _kl_value(p, q)
-    if near_b:
-        return _renyi_value(p, q, gamma)
-    if near_g:
+    if abs(gamma - 1.0) < eps:
+        # KL limit of the family
         k = _kl_value(p, q)
-        return np.expm1((beta - 1.0) * k) / (beta - 1.0)
-    ln_s = _log_power_sum(p, q, gamma)
+        m2 = _kl_second_moment(p, q)
+        dp = _kl_grad_p(p, q)
+        dg = 0.5 * (m2 - k * k)
+        db = 0.5 * k * k
+        if mode == "renyi":
+            return k, dp, dg, zeros
+        if mode == "tsallis":
+            # along the constrained beta = gamma line both partials advance
+            return k, dp, dg + db, zeros
+        if near_b:
+            return k, dp, dg, db
+        expk = np.exp((beta - 1.0) * k)
+        em1 = np.expm1((beta - 1.0) * k)
+        dg = 0.5 * expk * (m2 - k * k)
+        db = (k * expk * (beta - 1.0) - em1) / (beta - 1.0) ** 2
+        return em1 / (beta - 1.0), expk[:, None] * dp, dg, db
+
+    s, ds_dp, ds_dg, ln_s = _power_sum_pieces(p, q, gamma)
+    if mode == "tsallis":
+        dp = ds_dp / (gamma - 1.0)
+        dg = (ds_dg * (gamma - 1.0) - (s - 1.0)) / (gamma - 1.0) ** 2
+        return (s - 1.0) / (gamma - 1.0), dp, dg, zeros
+    if mode == "renyi" or near_b:
+        dp = ds_dp / (s[:, None] * (gamma - 1.0))
+        dg = -ln_s / (gamma - 1.0) ** 2 + ds_dg / (s * (gamma - 1.0))
+        db = zeros if mode == "renyi" else ln_s * ln_s / (2.0 * (1.0 - gamma) ** 2)
+        return ln_s / (gamma - 1.0), dp, dg, db
+    # sharma-mittal
     exponent = (1.0 - beta) / (1.0 - gamma)
-    return np.expm1(exponent * ln_s) / (beta - 1.0)
-
-
-def sm_divergence(p, q, params: DivergenceParams) -> float:
-    """Divergence of the selected family member between two distributions."""
-    params.validate()
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    _check_pair(p, q, params.gamma)
-    return float(_sm_value_batch(p[None, :], q[None, :], params)[0])
+    a = np.exp(exponent * ln_s)
+    dp = a[:, None] * exponent * ds_dp / s[:, None] / (beta - 1.0)
+    da_dg = a * (exponent / (1.0 - gamma) * ln_s + exponent * ds_dg / s)
+    dg = da_dg / (beta - 1.0)
+    da_db = a * (-ln_s / (1.0 - gamma))
+    db = (da_db * (beta - 1.0) - (a - 1.0)) / (beta - 1.0) ** 2
+    return np.expm1(exponent * ln_s) / (beta - 1.0), dp, dg, db
 
 
 def _power_sum_pieces(p, q, gamma):
@@ -219,94 +222,23 @@ def _kl_grad_p(p, q):
     return np.log(safe_p) - np.log(np.maximum(q, _TINY)) + 1.0
 
 
-def _sm_grads_batch(p: np.ndarray, q: np.ndarray, params: DivergenceParams):
-    """Per-row gradients: (d/dp rows, d/dgamma rows, d/dbeta rows).
-
-    Within the guard strip the gradients are those of the dispatched limit
-    formula, including the exact cross-terms
-        d SM/d beta |_{beta->1}  = ln^2(S) / (2 (1-gamma)^2)
-        d SM/d gamma|_{gamma->1} = e^{(beta-1) KL} (M - KL^2) / 2
-    with M = sum p ln^2(p/q), so training can traverse the strip smoothly.
-    """
-    gamma, beta, eps = params.gamma, params.beta, params.guard_eps
-    mode = params.mode
-    n = p.shape[0]
-    zeros = np.zeros(n)
-
-    if mode == "kl":
-        return _kl_grad_p(p, q), zeros, zeros
-    if mode == "bhattacharyya":
-        bc = np.sum(np.sqrt(p * q), axis=-1, keepdims=True)
-        dp = -0.5 * np.sqrt(np.maximum(q, _TINY) / np.maximum(p, _TINY)) / bc
-        return dp, zeros, zeros
-
-    def renyi_grads():
-        s, ds_dp, ds_dg, ln_s = _power_sum_pieces(p, q, gamma)
-        dp = ds_dp / (s[:, None] * (gamma - 1.0))
-        dg = -ln_s / (gamma - 1.0) ** 2 + ds_dg / (s * (gamma - 1.0))
-        return dp, dg
-
-    def kl_limit_grads():
-        k = _kl_value(p, q)
-        m2 = _kl_second_moment(p, q)
-        dp = _kl_grad_p(p, q)
-        dg = 0.5 * (m2 - k * k)
-        db = 0.5 * k * k
-        return dp, dg, db
-
-    if mode == "renyi":
-        if abs(gamma - 1.0) < eps:
-            dp, dg, _ = kl_limit_grads()
-            return dp, dg, zeros
-        dp, dg = renyi_grads()
-        return dp, dg, zeros
-
-    if mode == "tsallis":
-        if abs(gamma - 1.0) < eps:
-            dp, dg, db = kl_limit_grads()
-            # along the constrained beta = gamma line both partials advance
-            return dp, dg + db, zeros
-        s, ds_dp, ds_dg, _ = _power_sum_pieces(p, q, gamma)
-        dp = ds_dp / (gamma - 1.0)
-        dg = (ds_dg * (gamma - 1.0) - (s - 1.0)) / (gamma - 1.0) ** 2
-        return dp, dg, zeros
-
-    # sharma-mittal
-    near_g = abs(gamma - 1.0) < eps
-    near_b = abs(beta - 1.0) < eps
-    if near_g and near_b:
-        return kl_limit_grads()
-    if near_b:
-        dp, dg = renyi_grads()
-        ln_s = _log_power_sum(p, q, gamma)
-        db = ln_s * ln_s / (2.0 * (1.0 - gamma) ** 2)
-        return dp, dg, db
-    if near_g:
-        k = _kl_value(p, q)
-        m2 = _kl_second_moment(p, q)
-        expk = np.exp((beta - 1.0) * k)
-        dp = expk[:, None] * _kl_grad_p(p, q)
-        dg = 0.5 * expk * (m2 - k * k)
-        db = (k * expk * (beta - 1.0) - np.expm1((beta - 1.0) * k)) / (beta - 1.0) ** 2
-        return dp, dg, db
-    s, ds_dp, ds_dg, ln_s = _power_sum_pieces(p, q, gamma)
-    exponent = (1.0 - beta) / (1.0 - gamma)
-    a = np.exp(exponent * ln_s)
-    dp = a[:, None] * exponent * ds_dp / s[:, None] / (beta - 1.0)
-    da_dg = a * (exponent / (1.0 - gamma) * ln_s + exponent * ds_dg / s)
-    dg = da_dg / (beta - 1.0)
-    da_db = a * (-ln_s / (1.0 - gamma))
-    db = (da_db * (beta - 1.0) - (a - 1.0)) / (beta - 1.0) ** 2
-    return dp, dg, db
-
-
-def sm_divergence_grads(p, q, params: DivergenceParams):
-    """Analytic partials of the divergence: (d/dp vector, (d/dgamma, d/dbeta))."""
+def _checked_pair(p, q, params: DivergenceParams):
     params.validate()
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     _check_pair(p, q, params.gamma)
-    dp, dg, db = _sm_grads_batch(p[None, :], q[None, :], params)
+    return p[None, :], q[None, :]
+
+
+def sm_divergence(p, q, params: DivergenceParams) -> float:
+    """Divergence of the selected family member between two distributions."""
+    values, _, _, _ = _sm_batch(*_checked_pair(p, q, params), params)
+    return float(values[0])
+
+
+def sm_divergence_grads(p, q, params: DivergenceParams):
+    """Analytic partials of the divergence: (d/dp vector, (d/dgamma, d/dbeta))."""
+    _, dp, dg, db = _sm_batch(*_checked_pair(p, q, params), params)
     return dp[0], (float(dg[0]), float(db[0]))
 
 
@@ -332,9 +264,7 @@ def entropy_loss_batch(probs: np.ndarray, params: DivergenceParams):
     if probs.ndim != 2 or probs.shape[1] < 2:
         raise InvalidInputError("expected a batch of distributions over >= 2 classes")
     q = np.full_like(probs, 1.0 / probs.shape[1])
-    values = _sm_value_batch(probs, q, params)
-    dp, dg, db = _sm_grads_batch(probs, q, params)
-    return values, dp, dg, db
+    return _sm_batch(probs, q, params)
 
 
 _DEGENERATE_RTOL = 1e-12

@@ -8,6 +8,8 @@ smaller instance index.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,6 +206,12 @@ def harmonic_mean(seen_acc: float, unseen_acc: float) -> float:
     return 2.0 * seen_acc * unseen_acc / (seen_acc + unseen_acc)
 
 
+def valid_retrieval_ratio(ratio) -> bool:
+    """A retrieval ratio is a finite real number > 0."""
+    return (isinstance(ratio, numbers.Real) and not isinstance(ratio, bool)
+            and math.isfinite(ratio) and ratio > 0)
+
+
 def retrieval_precision(features: np.ndarray, labels: np.ndarray,
                         unseen_centers: ClassCenters,
                         ratios=(0.25, 0.5, 1.0),
@@ -213,6 +221,10 @@ def retrieval_precision(features: np.ndarray, labels: np.ndarray,
     For each class, all test instances are ranked by distance to the class
     center and the top ceil(ratio * n_c) are retrieved.
     """
+    for ratio in ratios:
+        if not valid_retrieval_ratio(ratio):
+            raise InvalidInputError(
+                f"eval.retrieval_ratios must be finite and > 0, got {ratio!r}")
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels)
     d = _distances(features, unseen_centers.centers, metric)

@@ -47,13 +47,6 @@ def interpolate_texts(t_a: np.ndarray, t_b: np.ndarray, alpha) -> np.ndarray:
     return a * t_a + (1.0 - a) * t_b
 
 
-def hallucinate_text(t_a: np.ndarray, t_b: np.ndarray, rng: RngStream,
-                     mode: str = "uniform-0.2-0.8") -> np.ndarray:
-    """One pseudo-unseen descriptor between two distinct seen-class descriptors."""
-    alpha = sample_alpha(rng, mode, 1)[0]
-    return interpolate_texts(t_a, t_b, alpha)
-
-
 def hallucinate_batch(descriptors: np.ndarray, rng_pairs: RngStream,
                       rng_alpha: RngStream, mode: str, n: int):
     """Batch of hallucinated descriptors from random distinct class pairs.
@@ -148,40 +141,23 @@ def creativity_loss(gen: Generator, disc: Discriminator, t_h: np.ndarray,
                       parts={**parts, "mean_entropy": mean_entropy})
 
 
-def visual_pivot(gen: Generator, descriptors: np.ndarray, noise: list[np.ndarray],
-                 centers: np.ndarray) -> LossResult:
-    """Mean squared distance between per-class generated means and real
-    per-class feature means, averaged over the classes present.
+def visual_pivot(x: np.ndarray, labels: np.ndarray, centers: np.ndarray):
+    """Mean squared distance between the per-class means of the rows of `x`
+    and the real class means `centers[label]`, averaged over the classes
+    present in `labels`.
 
-    `descriptors` has one row per class, `noise[k]` the z draws for class k,
-    `centers` the matching real means.
+    Returns (value, d value / d x).
     """
-    descriptors = np.atleast_2d(np.asarray(descriptors, dtype=np.float64))
-    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    k = descriptors.shape[0]
-    if k == 0 or len(noise) != k or centers.shape[0] != k:
-        raise InvalidInputError("need one descriptor, noise batch and center per class")
-    rows_t, rows_z, owner = [], [], []
-    for i in range(k):
-        z = np.atleast_2d(np.asarray(noise[i], dtype=np.float64))
-        rows_t.append(np.repeat(descriptors[i][None, :], z.shape[0], axis=0))
-        rows_z.append(z)
-        owner.append(np.full(z.shape[0], i))
-    t_all = np.concatenate(rows_t)
-    z_all = np.concatenate(rows_z)
-    owner = np.concatenate(owner)
-    x, cache = gen.forward_cached(t_all, z_all)
+    labels = np.asarray(labels)
+    present = np.unique(labels)
     value = 0.0
     d_x = np.zeros_like(x)
-    for i in range(k):
-        sel = owner == i
-        mu = x[sel].mean(axis=0)
-        diff = mu - centers[i]
+    for k in present:
+        sel = labels == k
+        diff = x[sel].mean(axis=0) - centers[k]
         value += float(diff @ diff)
-        d_x[sel] = (2.0 / (k * sel.sum())) * diff
-    value /= k
-    grad_gen, _, _ = gen.backward(cache, d_x)
-    return LossResult(value=value, grad_gen=grad_gen)
+        d_x[sel] = (2.0 / (present.size * sel.sum())) * diff
+    return value / present.size, d_x
 
 
 def generator_loss(gen: Generator, disc: Discriminator, t_s: np.ndarray,
@@ -215,17 +191,7 @@ def generator_loss(gen: Generator, disc: Discriminator, t_s: np.ndarray,
     d_logits = probs / m
     d_logits[:, :k_cls] -= y / m
 
-    pivot = 0.0
-    d_x_pivot = np.zeros_like(x_s)
-    labels = np.asarray(y_s)
-    present = np.unique(labels)
-    for k in present:
-        sel = labels == k
-        mu = x_s[sel].mean(axis=0)
-        diff = mu - centers_by_class[k]
-        pivot += float(diff @ diff)
-        d_x_pivot[sel] = (2.0 / (present.size * sel.sum())) * diff
-    pivot /= present.size
+    pivot, d_x_pivot = visual_pivot(x_s, y_s, centers_by_class)
 
     _, d_x = disc.backward(d_cache, d_real, d_logits)
     grad_gen, _, _ = gen.backward(g_cache, d_x + d_x_pivot)
@@ -257,58 +223,51 @@ def discriminator_loss(disc: Discriminator, gen: Generator, x_real: np.ndarray,
     interpolates eps * real + (1 - eps) * fake, and the two halved
     classification terms on real and generated seen features.
 
-    Gradients are w.r.t. the discriminator only; the generator is frozen.
+    The critic runs one forward and one backward over the stacked rows
+    [fake; real]. With `extra_class`, the hallucinated rows join the stack
+    with a zero critic adjoint and a halved cross-entropy toward the extra
+    (last) class. Gradients are w.r.t. the discriminator only; the generator
+    is frozen.
     """
     x_real = np.atleast_2d(np.asarray(x_real, dtype=np.float64))
     m = x_real.shape[0]
     k_cls = disc.n_classes - (1 if extra_class else 0)
-    y_r = _one_hot(y_real, k_cls)
-    y_f = _one_hot(y_s, k_cls)
+    y = _one_hot(np.concatenate([y_s, y_real]), k_cls)
     gp_eps = np.asarray(gp_eps, dtype=np.float64).reshape(m, 1)
 
     x_fake = np.atleast_2d(gen.forward(t_s, z))
-    if x_fake.shape != x_real.shape:
+    if x_fake.shape != x_real.shape or y.shape[0] != 2 * m:
         raise InvalidInputError(
             f"real batch {x_real.shape} and fake batch {x_fake.shape} misaligned")
+    rows = [x_fake, x_real]
+    if extra_class:
+        if t_h is None or z_h is None:
+            raise InvalidInputError("extra-class ablation needs a hallucinated batch")
+        rows.append(np.atleast_2d(gen.forward(t_h, z_h)))
+    (critic, logits), cache = disc.forward_cached(np.concatenate(rows))
+    n_h = critic.size - 2 * m
 
-    (real_f, logits_f), cache_f = disc.forward_cached(x_fake)
-    (real_r, logits_r), cache_r = disc.forward_cached(x_real)
-
-    wasserstein = float(np.mean(real_f) - np.mean(real_r))
+    wasserstein = float(np.mean(critic[:m]) - np.mean(critic[m:2 * m]))
     x_hat = gp_eps * x_real + (1.0 - gp_eps) * x_fake
     penalty, grad_penalty, _ = gradient_penalty(disc, x_hat)
 
-    lsm_r, lsm_f = log_softmax(logits_r), log_softmax(logits_f)
-    cls_real = -0.5 * float(np.mean(np.sum(y_r * lsm_r[:, :k_cls], axis=1)))
-    cls_fake = -0.5 * float(np.mean(np.sum(y_f * lsm_f[:, :k_cls], axis=1)))
-
-    d_logits_r = softmax(logits_r) * (0.5 / m)
-    d_logits_r[:, :k_cls] -= y_r * (0.5 / m)
-    d_logits_f = softmax(logits_f) * (0.5 / m)
-    d_logits_f[:, :k_cls] -= y_f * (0.5 / m)
-
-    g_f, _ = disc.backward(cache_f, np.full(m, 1.0 / m), d_logits_f)
-    g_r, _ = disc.backward(cache_r, np.full(m, -1.0 / m), d_logits_r)
-    grad = g_f + g_r + gp_weight * grad_penalty
+    target = np.zeros_like(logits)
+    target[:2 * m, :k_cls] = y
+    row_scale = np.full(critic.size, 0.5 / m)
+    if extra_class:
+        target[2 * m:, -1] = 1.0
+        row_scale[2 * m:] = 0.5 / n_h
+    ce = -np.sum(target * log_softmax(logits), axis=1)
+    cls_fake = 0.5 * float(np.mean(ce[:m]))
+    cls_real = 0.5 * float(np.mean(ce[m:2 * m]))
+    d_logits = (softmax(logits) - target) * row_scale[:, None]
+    d_critic = np.concatenate([np.full(m, 1.0 / m), np.full(m, -1.0 / m), np.zeros(n_h)])
+    grad, _ = disc.backward(cache, d_critic, d_logits)
 
     value = wasserstein + gp_weight * penalty + cls_real + cls_fake
     parts = {"wasserstein_gap": -wasserstein, "penalty": penalty,
              "cls_real": cls_real, "cls_fake": cls_fake}
-
     if extra_class:
-        if t_h is None or z_h is None:
-            raise InvalidInputError("extra-class ablation needs a hallucinated batch")
-        x_h = np.atleast_2d(gen.forward(t_h, z_h))
-        (_, logits_h), cache_h = disc.forward_cached(x_h)
-        mh = x_h.shape[0]
-        lsm_h = log_softmax(logits_h)
-        cls_extra = -0.5 * float(np.mean(lsm_h[:, -1]))
-        target = np.zeros_like(logits_h)
-        target[:, -1] = 1.0
-        d_logits_h = (softmax(logits_h) - target) * (0.5 / mh)
-        g_h, _ = disc.backward(cache_h, np.zeros(mh), d_logits_h)
-        grad = grad + g_h
-        value += cls_extra
-        parts["cls_extra"] = cls_extra
-
-    return LossResult(value=value, grad_disc=grad, parts=parts)
+        parts["cls_extra"] = 0.5 * float(np.mean(ce[2 * m:]))
+        value += parts["cls_extra"]
+    return LossResult(value=value, grad_disc=grad + gp_weight * grad_penalty, parts=parts)

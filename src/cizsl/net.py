@@ -3,8 +3,10 @@ second-order sweep needed by the Lipschitz gradient penalty, plus the binary
 checkpoint format.
 
 Shape conventions: batches are row-major, weights are (out, in), and the flat
-parameter view of a network concatenates each layer's weights (row-major)
-followed by its bias, in layer order.
+parameter vector of a network concatenates each layer's weights (row-major)
+followed by its bias, in layer order. Each network stores its parameters in
+one contiguous float64 buffer in that order (`params`); layer weights and
+biases are views into it.
 """
 from __future__ import annotations
 
@@ -100,6 +102,25 @@ class MlpNetwork:
                     f"layer dims do not chain: {a.weight.shape} -> {b.weight.shape}")
         self.layers = layers
         self._version = 0
+        self._bind(np.empty(sum(l.weight.size + l.bias.size for l in layers)))
+
+    def _views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weight, bias) views of each layer's slice of a parameter-sized vector."""
+        views, i = [], 0
+        for l in self.layers:
+            n_out, n_in = l.weight.shape
+            j = i + n_out * n_in
+            views.append((flat[i:j].reshape(n_out, n_in), flat[j:j + n_out]))
+            i = j + n_out
+        return views
+
+    def _bind(self, params: np.ndarray) -> None:
+        """Copy the parameters into `params` and make the layers views of it."""
+        for l, (w, b) in zip(self.layers, self._views(params)):
+            w[...] = l.weight
+            b[...] = l.bias
+            l.weight, l.bias = w, b
+        self.params = params
 
     @property
     def in_dim(self) -> int:
@@ -111,25 +132,13 @@ class MlpNetwork:
 
     @property
     def n_params(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.layers)
+        return self.params.size
 
     def param_vector(self) -> np.ndarray:
-        return np.concatenate([np.concatenate([l.weight.ravel(), l.bias])
-                               for l in self.layers])
+        return self.params.copy()
 
     def set_param_vector(self, theta: np.ndarray) -> None:
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.n_params,):
-            raise InvalidInputError(
-                f"parameter vector has {theta.size} entries, network expects {self.n_params}")
-        i = 0
-        for l in self.layers:
-            w = l.weight.size
-            l.weight = theta[i:i + w].reshape(l.weight.shape).copy()
-            i += w
-            b = l.bias.size
-            l.bias = theta[i:i + b].copy()
-            i += b
+        _copy_params(self.params, theta, "network")
         self._version += 1
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -158,21 +167,26 @@ class MlpNetwork:
         if len(cache.zs) != len(self.layers):
             raise InvalidStateError("forward cache does not match this network")
 
-    def backward(self, cache: MlpCache, d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact gradients of sum(d_out * output) w.r.t. parameters and input."""
+    def backward(self, cache: MlpCache, d_out: np.ndarray,
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Exact gradients of sum(d_out * output) w.r.t. parameters and input.
+
+        The parameter gradient is written into `out` when given.
+        """
         self._check_cache(cache)
         d = np.atleast_2d(np.asarray(d_out, dtype=np.float64))
         if d.shape != cache.hs[-1].shape:
             raise InvalidStateError(
                 f"output gradient shape {d.shape} does not match cached output "
                 f"{cache.hs[-1].shape}")
-        grads = [None] * len(self.layers)
+        flat = np.empty(self.n_params) if out is None else out
+        grads = self._views(flat)
         for i in range(len(self.layers) - 1, -1, -1):
             l = self.layers[i]
             dz = d * _act_d(l.activation, cache.zs[i], l.slope)
-            grads[i] = (dz.T @ cache.hs[i], dz.sum(axis=0))
+            np.matmul(dz.T, cache.hs[i], out=grads[i][0])
+            dz.sum(axis=0, out=grads[i][1])
             d = dz @ l.weight
-        flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
         d_in = d[0] if np.asarray(d_out).ndim == 1 else d
         return flat, d_in
 
@@ -205,19 +219,27 @@ class MlpNetwork:
             h_dot.append(_act_d(l.activation, cache.zs[i], l.slope) * zd)
         bar_hdot = np.broadcast_to(select, cache.hs[-1].shape).astype(np.float64)
         bar_h = np.zeros_like(bar_hdot)
-        grads = [None] * L
+        flat = np.empty(self.n_params)
+        grads = self._views(flat)
         for i in range(L - 1, -1, -1):
             l = self.layers[i]
             d1 = _act_d(l.activation, cache.zs[i], l.slope)
             d2 = _act_dd(l.activation, cache.zs[i], l.slope)
             bar_zdot = d1 * bar_hdot
             bar_z = d2 * z_dot[i] * bar_hdot + d1 * bar_h
-            gw = bar_zdot.T @ h_dot[i] + bar_z.T @ cache.hs[i]
-            gb = bar_z.sum(axis=0)
-            grads[i] = (gw, gb)
+            np.add(bar_zdot.T @ h_dot[i], bar_z.T @ cache.hs[i], out=grads[i][0])
+            bar_z.sum(axis=0, out=grads[i][1])
             bar_hdot = bar_zdot @ l.weight
             bar_h = bar_z @ l.weight
-        return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+        return flat
+
+
+def _copy_params(params: np.ndarray, theta: np.ndarray, what: str) -> None:
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != params.shape:
+        raise InvalidInputError(
+            f"parameter vector has {theta.size} entries, {what} expects {params.size}")
+    params[...] = theta
 
 
 def glorot_layer(rng: RngStream, in_dim: int, out_dim: int,
@@ -267,6 +289,10 @@ class Generator:
         self.embed = embed
         self.trunk = trunk
         self.noise_dim = noise_dim
+        # one buffer: embed parameters, then trunk parameters
+        self.params = np.empty(embed.n_params + trunk.n_params)
+        embed._bind(self.params[:embed.n_params])
+        trunk._bind(self.params[embed.n_params:])
 
     @property
     def text_dim(self) -> int:
@@ -278,19 +304,15 @@ class Generator:
 
     @property
     def n_params(self) -> int:
-        return self.embed.n_params + self.trunk.n_params
+        return self.params.size
 
     def param_vector(self) -> np.ndarray:
-        return np.concatenate([self.embed.param_vector(), self.trunk.param_vector()])
+        return self.params.copy()
 
     def set_param_vector(self, theta: np.ndarray) -> None:
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.n_params,):
-            raise InvalidInputError(
-                f"parameter vector has {theta.size} entries, generator expects {self.n_params}")
-        ne = self.embed.n_params
-        self.embed.set_param_vector(theta[:ne])
-        self.trunk.set_param_vector(theta[ne:])
+        _copy_params(self.params, theta, "generator")
+        self.embed._version += 1
+        self.trunk._version += 1
 
     def forward(self, t: np.ndarray, z: np.ndarray) -> np.ndarray:
         return self.forward_cached(t, z)[0]
@@ -312,11 +334,12 @@ class Generator:
     def backward(self, cache: GeneratorCache, d_out: np.ndarray):
         """Gradients of sum(d_out * output): (flat params, d_t, d_z)."""
         d = np.atleast_2d(np.asarray(d_out, dtype=np.float64))
-        g_trunk, d_h = self.trunk.backward(cache.trunk, d)
+        flat = np.empty(self.n_params)
+        ne = self.embed.n_params
+        _, d_h = self.trunk.backward(cache.trunk, d, out=flat[ne:])
         e_dim = self.embed.out_dim
-        g_embed, d_t = self.embed.backward(cache.embed, d_h[:, :e_dim])
-        d_z = d_h[:, e_dim:]
-        return np.concatenate([g_embed, g_trunk]), d_t, d_z
+        _, d_t = self.embed.backward(cache.embed, d_h[:, :e_dim], out=flat[:ne])
+        return flat, d_t, d_h[:, e_dim:]
 
 
 def build_generator(arch: GeneratorArch, rng: RngStream) -> Generator:
@@ -371,6 +394,10 @@ class Discriminator:
         return self.net.in_dim
 
     @property
+    def params(self) -> np.ndarray:
+        return self.net.params
+
+    @property
     def n_params(self) -> int:
         return self.net.n_params
 
@@ -398,11 +425,6 @@ class Discriminator:
         d_logits = np.atleast_2d(np.asarray(d_logits, dtype=np.float64))
         d_out = np.concatenate([d_real[:, None], d_logits], axis=1)
         return self.net.backward(cache, d_out)
-
-    def real_input_grad(self, x: np.ndarray) -> np.ndarray:
-        """Rows of the critic-score gradient w.r.t. each input row."""
-        _, cache = self.net.forward_cached(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-        return self.net.input_grad_rows(cache, self._real_select)
 
 
 def build_discriminator(arch: DiscriminatorArch, rng: RngStream) -> Discriminator:
@@ -436,21 +458,14 @@ def gradient_penalty(disc: Discriminator, x_hat: np.ndarray):
     return float(penalties.mean()), grad, penalties
 
 
-def input_grad_penalty_grad(disc: Discriminator, x_hat: np.ndarray):
-    """Single-point Lipschitz penalty and its discriminator-parameter gradient."""
-    x = np.asarray(x_hat, dtype=np.float64)
-    if x.ndim != 1:
-        raise InvalidInputError("expected a single feature vector")
-    penalty, grad, _ = gradient_penalty(disc, x[None, :])
-    return penalty, grad
-
-
 # --------------------------------------------------------------------------
-# Checkpoint format: magic "CZSL", version u16, u32 network count, then per
-# network a u32 layer count and per layer u32 in, u32 out, u8 activation tag,
-# f64 slope; all parameters follow as little-endian f64 in flat order.
+# Checkpoint format: magic "CZSL", version u16, u32 network count, u32
+# generator noise dim, then per network a u32 layer count and per layer u32
+# in, u32 out, u8 activation tag, f64 slope; all parameters follow as
+# little-endian f64 in flat order.
 # Networks are stored in the fixed order (generator embed, generator trunk,
-# discriminator); the generator noise dim is recovered from the dims.
+# discriminator), so the parameters are the generator's buffer followed by
+# the discriminator's.
 # --------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"CZSL"
@@ -474,8 +489,8 @@ def save_checkpoint(path, gen: Generator, disc: Discriminator) -> None:
         f.write(struct.pack("<I", gen.noise_dim))
         for net in nets:
             f.write(_net_header(net))
-        for net in nets:
-            f.write(net.param_vector().astype("<f8").tobytes())
+        for model in (gen, disc):
+            f.write(model.params.astype("<f8", copy=False).tobytes())
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
@@ -512,13 +527,13 @@ def load_checkpoint(path) -> tuple[Generator, Discriminator]:
                                     bias=np.zeros(out_dim),
                                     activation=ACTIVATIONS[tag], slope=slope))
             nets.append(MlpNetwork(layers))
-        for net in nets:
-            raw = _read_exact(f, 8 * net.n_params, "parameters")
-            net.set_param_vector(np.frombuffer(raw, dtype="<f8"))
+        embed, trunk, d_net = nets
+        gen = Generator(embed=embed, trunk=trunk, noise_dim=noise_dim)
+        disc = Discriminator(net=d_net, n_classes=d_net.out_dim - 1)
+        for model in (gen, disc):
+            raw = _read_exact(f, 8 * model.n_params, "parameters")
+            model.params[...] = np.frombuffer(raw, dtype="<f8")
         trailing = f.read(1)
         if trailing:
             raise DatasetFormatError("checkpoint has trailing bytes")
-    embed, trunk, d_net = nets
-    gen = Generator(embed=embed, trunk=trunk, noise_dim=noise_dim)
-    disc = Discriminator(net=d_net, n_classes=d_net.out_dim - 1)
     return gen, disc

@@ -79,18 +79,6 @@ class RngStream:
         return self._gen.permutation(n)
 
 
-def sample_gaussian(rng: RngStream, n: int) -> np.ndarray:
-    """n standard-normal draws from the stream."""
-    if n < 1:
-        raise InvalidInputError(f"need n >= 1 draws, got {n}")
-    return rng.normal(n)
-
-
-def sample_uniform(rng: RngStream, lo: float, hi: float) -> float:
-    """One uniform draw on [lo, hi)."""
-    return float(rng.uniform(lo, hi))
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by max subtraction.
 

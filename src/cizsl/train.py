@@ -186,7 +186,7 @@ def train(dataset: ZslDataset, config: TrainConfig,
                                          config.gp_weight, eps, extra_class=extra,
                                          t_h=t_h if extra else None,
                                          z_h=z_h if extra else None)
-                theta_d, state_d = adam_step(disc.param_vector(), res.grad_disc, state_d)
+                theta_d, state_d = adam_step(disc.params, res.grad_disc, state_d)
                 disc.set_param_vector(theta_d)
                 d_losses.append(res.value)
                 gaps.append(res.parts["wasserstein_gap"])
@@ -197,7 +197,7 @@ def train(dataset: ZslDataset, config: TrainConfig,
             res_g = generator_loss(gen, disc, t_g, y_g, z_g, t_h, z_h,
                                    config.lambda_creativity, div, centers,
                                    creativity_enabled=use_creativity, extra_class=extra)
-            theta_g, state_g = adam_step(gen.param_vector(), res_g.grad_gen, state_g)
+            theta_g, state_g = adam_step(gen.params, res_g.grad_gen, state_g)
             gen.set_param_vector(theta_g)
 
             if u.size and use_creativity:
@@ -282,6 +282,10 @@ def cross_validate_lambda(dataset: ZslDataset, config: TrainConfig,
     if not grid:
         raise InvalidInputError("lambda grid is empty")
     config.validate()
+    if config.n_steps < config.eval_interval:
+        raise InvalidConfigError(
+            f"train.n_steps ({config.n_steps}) must be >= train.eval_interval "
+            f"({config.eval_interval}): every lambda needs a scored checkpoint")
     train_ds, _ = split_train_val(dataset, split_ratio, seed=config.seed)
     if train_ds.unseen_class_ids.size < 2:
         raise InvalidSplitError(
@@ -305,6 +309,7 @@ def select_best_lambda(grid, scores) -> float:
     """Highest validation score wins; exact ties break toward the smaller value."""
     best_lam, best_score = None, -np.inf
     for lam, score in zip(grid, scores):
-        if score > best_score or (score == best_score and lam < best_lam):
+        if score > best_score or (score == best_score
+                                  and (best_lam is None or lam < best_lam)):
             best_lam, best_score = float(lam), score
     return best_lam

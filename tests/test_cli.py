@@ -209,6 +209,31 @@ class TestRetrieveCommand:
         assert [l.split("=")[0] for l in out.strip().splitlines()] == \
             ["precision_at_1", "precision_at_0.5"]
 
+    @pytest.mark.parametrize("ratios", ["-0.5", "0", "0.5,-1"])
+    def test_nonpositive_ratio_exits_1(self, tmp_path, capsys, ratios):
+        cfg, ckpt = self.make_exact_setup(tmp_path)
+        code, out, err = run_cli(capsys, "retrieve", "--config", str(cfg),
+                                 "--checkpoint", str(ckpt), f"--ratios={ratios}")
+        assert code == 1
+        assert "eval.retrieval_ratios" in err
+        assert "precision_at" not in out
+
+    @pytest.mark.parametrize("ratios", ["abc", "0.5,x", "nan"])
+    def test_unparseable_ratios_exit_1(self, tmp_path, capsys, ratios):
+        cfg, ckpt = self.make_exact_setup(tmp_path)
+        code, _, err = run_cli(capsys, "retrieve", "--config", str(cfg),
+                               "--checkpoint", str(ckpt), "--ratios", ratios)
+        assert code == 1
+        assert "--ratios" in err
+
+    def test_nonpositive_config_ratio_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json",
+                           eval={"retrieval_ratios": [0.5, 0.0]})
+        code, _, err = run_cli(capsys, "retrieve", "--config", str(cfg),
+                               "--checkpoint", str(tmp_path / "missing.czsl"))
+        assert code == 1
+        assert "eval.retrieval_ratios" in err
+
     def test_empty_unseen_set_exits_1(self, tmp_path, capsys):
         cfg, ckpt = self.make_exact_setup(tmp_path)
         # rewrite the dataset with every class seen
@@ -274,10 +299,15 @@ class TestGradcheckCommand:
         assert re.search(r"gradcheck discriminator_loss: max_rel_err=\S+ tol=0.001 PASS", out)
         assert out.count("PASS") >= 8
 
-    def test_corrupted_gradient_exits_2(self, capsys):
-        code, out, _ = run_cli(capsys, "gradcheck", "--seed", "0", "--corrupt")
+    def test_corrupted_gradient_exits_2(self, capsys, monkeypatch):
+        # a wrong second-order sweep must surface through the penalty checks
+        original = MlpNetwork.grad_of_input_grad
+        monkeypatch.setattr(MlpNetwork, "grad_of_input_grad",
+                            lambda self, *a: 1.5 * original(self, *a))
+        code, out, _ = run_cli(capsys, "gradcheck", "--seed", "0")
         assert code == 2
-        assert "FAIL" in out
+        assert re.search(r"gradcheck lipschitz_penalty: .* FAIL", out)
+        assert "gradcheck FAILED" in out
 
 
 class TestSweepLambdaCommand:
@@ -295,3 +325,23 @@ class TestSweepLambdaCommand:
         table = (tmp_path / "run" / "sweep.csv").read_text().strip().splitlines()
         assert table[0] == "lambda,iteration,val_auc"
         assert len(table) == 1 + 2 * 2  # grid size x checkpoints
+
+    def test_fewer_steps_than_eval_interval_exits_1(self, tmp_path, capsys):
+        # no checkpoint would be scored, so no lambda could win
+        cfg = write_config(tmp_path / "cfg.json",
+                           synthetic={"n_super": 5, "classes_per_super": 2,
+                                      "instances_per_class": 10,
+                                      "unseen_fraction": 0.2, "seed": 4},
+                           train={"n_steps": 3, "eval_interval": 5})
+        code, _, err = run_cli(capsys, "sweep-lambda", "--config", str(cfg),
+                               "--grid", "0.0,0.5")
+        assert code == 1
+        assert "train.n_steps" in err and "train.eval_interval" in err
+
+    @pytest.mark.parametrize("grid", ["abc", "0.1,x", "nan", "1,inf"])
+    def test_unparseable_grid_exits_1(self, tmp_path, capsys, grid):
+        cfg = write_config(tmp_path / "cfg.json")
+        code, _, err = run_cli(capsys, "sweep-lambda", "--config", str(cfg),
+                               "--grid", grid)
+        assert code == 1
+        assert "--grid" in err

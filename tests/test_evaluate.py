@@ -284,3 +284,10 @@ class TestRetrieval:
         centers = centers_of([1, 2], [[0.0], [1.0]])
         with pytest.raises(InvalidInputError):
             retrieval_precision(np.array([[0.0]]), np.array([1]), centers)
+
+    @pytest.mark.parametrize("ratio", [0.0, -0.5, float("nan"), float("inf")])
+    def test_ratio_must_be_finite_and_positive(self, ratio):
+        centers = centers_of([1], [[0.0]])
+        with pytest.raises(InvalidInputError, match="eval.retrieval_ratios"):
+            retrieval_precision(np.array([[0.0]]), np.array([1]), centers,
+                                ratios=(0.5, ratio))

@@ -6,8 +6,8 @@ import pytest
 from cizsl.divergence import DivergenceParams
 from cizsl.errors import InvalidInputError
 from cizsl.losses import (ALPHA_MODES, creativity_loss, discriminator_loss,
-                          generator_loss, hallucinate_batch, hallucinate_text,
-                          interpolate_texts, sample_alpha, visual_pivot)
+                          generator_loss, hallucinate_batch, interpolate_texts,
+                          sample_alpha, visual_pivot)
 from cizsl.net import (DiscriminatorArch, Discriminator, Generator, GeneratorArch,
                        Layer, MlpNetwork, build_discriminator, build_generator)
 from cizsl.numerics import RngStream, finite_diff_gradient, relative_error
@@ -26,9 +26,11 @@ def tiny_models(seed=0, k_cls=3):
 
 class TestHallucination:
     def test_fixed_mode_midpoint(self):
-        t = hallucinate_text(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                             RngStream(0, 0), mode="fixed-0.5")
-        np.testing.assert_allclose(t, [0.5, 0.5])
+        desc = np.array([[1.0, 0.0], [0.0, 1.0]])
+        t_h, _, alpha = hallucinate_batch(desc, RngStream(0, 0), RngStream(0, 1),
+                                          "fixed-0.5", 5)
+        np.testing.assert_array_equal(alpha, np.full(5, 0.5))
+        np.testing.assert_allclose(t_h, np.full((5, 2), 0.5))
 
     def test_interpolation_endpoints(self):
         t_a = np.array([1.0, 0.0])
@@ -127,45 +129,35 @@ class TestCreativityLoss:
 
 class TestVisualPivot:
     def test_zero_when_generations_equal_centers(self):
-        # constant generator: zero weights, fixed bias, identity output
-        bias = np.array([1.0, 2.0])
-        gen = Generator(
-            embed=MlpNetwork([Layer(np.zeros((2, 3)), np.zeros(2), "identity")]),
-            trunk=MlpNetwork([Layer(np.zeros((2, 4)), bias, "identity")]),
-            noise_dim=2)
-        desc = np.zeros((2, 3))
-        noise = [np.zeros((4, 2)), np.ones((3, 2))]
-        centers = np.array([bias, bias])
-        res = visual_pivot(gen, desc, noise, centers)
-        assert res.value == pytest.approx(0.0, abs=1e-15)
-        np.testing.assert_allclose(res.grad_gen, 0.0, atol=1e-12)
+        centers = np.array([[1.0, 2.0], [-3.0, 0.5]])
+        labels = np.array([0, 0, 1, 0, 1])
+        value, d_x = visual_pivot(centers[labels], labels, centers)
+        assert value == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_allclose(d_x, 0.0, atol=1e-12)
 
     def test_one_class_squared_distance(self):
-        # constant generator emitting 2.0 in one dimension, center at 5.0
-        gen = Generator(
-            embed=MlpNetwork([Layer(np.zeros((1, 1)), np.zeros(1), "identity")]),
-            trunk=MlpNetwork([Layer(np.zeros((1, 2)), np.array([2.0]), "identity")]),
-            noise_dim=1)
-        res = visual_pivot(gen, np.zeros((1, 1)), [np.zeros((5, 1))],
-                           np.array([[5.0]]))
-        assert res.value == pytest.approx(9.0)
+        # five rows of 2.0 in one dimension, center at 5.0
+        value, d_x = visual_pivot(np.full((5, 1), 2.0), np.zeros(5, dtype=int),
+                                  np.array([[5.0]]))
+        assert value == pytest.approx(9.0)
+        np.testing.assert_allclose(d_x, np.full((5, 1), 2.0 * -3.0 / 5))
 
     def test_gradient_matches_finite_differences(self):
-        gen, _ = tiny_models(seed=6)
         rng = RngStream(6, 1)
-        desc = rng.normal((3, 4))
-        noise = [rng.normal((4, 3)), rng.normal((2, 3)), rng.normal((3, 3))]
+        x = rng.normal((9, 5))
+        labels = np.array([0, 2, 2, 0, 1, 0, 2, 2, 0])
         centers = rng.normal((3, 5))
-        res = visual_pivot(gen, desc, noise, centers)
-        theta0 = gen.param_vector()
+        _, d_x = visual_pivot(x, labels, centers)
+        fd = finite_diff_gradient(
+            lambda xf: visual_pivot(xf.reshape(x.shape), labels, centers)[0],
+            x.ravel().copy(), 1e-5)
+        assert relative_error(d_x.ravel(), fd) < 1e-4
 
-        def f(theta):
-            gen.set_param_vector(theta)
-            return visual_pivot(gen, desc, noise, centers).value
-
-        fd = finite_diff_gradient(f, theta0.copy(), 1e-5)
-        gen.set_param_vector(theta0)
-        assert relative_error(res.grad_gen, fd) < 1e-4
+    def test_only_present_classes_count(self):
+        # class 1 has no rows: it neither adds a term nor divides the mean
+        centers = np.array([[0.0], [100.0], [1.0]])
+        value, _ = visual_pivot(np.array([[2.0], [3.0]]), np.array([0, 2]), centers)
+        assert value == pytest.approx((4.0 + 4.0) / 2)
 
 
 class TestGeneratorLoss:

@@ -4,8 +4,7 @@ import pytest
 from cizsl.errors import DatasetFormatError, InvalidInputError, InvalidStateError
 from cizsl.net import (DiscriminatorArch, Discriminator, Generator, GeneratorArch,
                        Layer, MlpNetwork, build_discriminator, build_generator,
-                       gradient_penalty, input_grad_penalty_grad, load_checkpoint,
-                       save_checkpoint)
+                       gradient_penalty, load_checkpoint, save_checkpoint)
 from cizsl.numerics import RngStream, finite_diff_gradient, relative_error
 
 
@@ -95,6 +94,40 @@ class TestParamVector:
         gen.set_param_vector(new)
         np.testing.assert_array_equal(gen.param_vector(), new)
 
+    def test_layers_are_views_of_one_buffer(self):
+        rng = RngStream(34, 0)
+        gen = build_generator(GeneratorArch(text_dim=4, noise_dim=2, output_dim=3,
+                                            embed_dim=5, hidden_dims=(6,)), rng)
+        disc = build_discriminator(DiscriminatorArch(input_dim=3, n_classes=2), rng)
+        layers = gen.embed.layers + gen.trunk.layers
+        for l in layers:
+            assert np.shares_memory(l.weight, gen.params)
+            assert np.shares_memory(l.bias, gen.params)
+        for l in disc.net.layers:
+            assert np.shares_memory(l.weight, disc.params)
+        # the buffer concatenates (weight row-major, bias) per layer, embed first
+        np.testing.assert_array_equal(
+            gen.params, np.concatenate([np.concatenate([l.weight.ravel(), l.bias])
+                                        for l in layers]))
+        new = rng.normal(gen.n_params)
+        gen.set_param_vector(new)
+        np.testing.assert_array_equal(gen.embed.layers[0].bias, new[20:25])
+        # param_vector is a copy, not the buffer
+        theta = gen.param_vector()
+        theta[:] = 0.0
+        np.testing.assert_array_equal(gen.params, new)
+
+    def test_generator_update_invalidates_both_caches(self):
+        rng = RngStream(35, 0)
+        gen = build_generator(GeneratorArch(text_dim=4, noise_dim=2, output_dim=3,
+                                            embed_dim=5, hidden_dims=(6,)), rng)
+        _, cache = gen.forward_cached(rng.normal((2, 4)), rng.normal((2, 2)))
+        gen.set_param_vector(gen.param_vector())
+        with pytest.raises(InvalidStateError):
+            gen.embed.backward(cache.embed, np.zeros((2, 5)))
+        with pytest.raises(InvalidStateError):
+            gen.trunk.backward(cache.trunk, np.zeros((2, 3)))
+
     def test_wrong_length_rejected(self):
         rng = RngStream(1, 0)
         disc = build_discriminator(DiscriminatorArch(input_dim=3, n_classes=2), rng)
@@ -182,14 +215,14 @@ class TestGradientPenalty:
 
     def test_unit_norm_critic_has_zero_penalty_and_gradient(self):
         disc = self.d_linear([0.6, 0.8])
-        penalty, grad = input_grad_penalty_grad(disc, np.array([3.0, -1.0]))
+        penalty, grad, _ = gradient_penalty(disc, np.array([3.0, -1.0])[None])
         assert penalty == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_allclose(grad, np.zeros(disc.n_params), atol=1e-12)
 
     def test_symbolic_gradient_for_linear_critic(self):
         # ||grad|| = 5, penalty (5-1)^2 = 16, d/dw = 2*4*w/5
         disc = self.d_linear([3.0, 4.0])
-        penalty, grad = input_grad_penalty_grad(disc, np.array([0.0, 0.0]))
+        penalty, grad, _ = gradient_penalty(disc, np.array([0.0, 0.0])[None])
         assert penalty == pytest.approx(16.0)
         np.testing.assert_allclose(grad[:2], [4.8, 6.4], atol=1e-12)
         # bias and class-head rows receive nothing
@@ -197,7 +230,7 @@ class TestGradientPenalty:
 
     def test_zero_gradient_input_documented_subgradient(self):
         disc = self.d_linear([0.0, 0.0])
-        penalty, grad = input_grad_penalty_grad(disc, np.array([1.0, 1.0]))
+        penalty, grad, _ = gradient_penalty(disc, np.array([1.0, 1.0])[None])
         assert penalty == pytest.approx(1.0)
         np.testing.assert_array_equal(grad, np.zeros(disc.n_params))
 

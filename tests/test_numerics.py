@@ -5,8 +5,7 @@ import pytest
 
 from cizsl.errors import InvalidInputError, OracleFailureError
 from cizsl.numerics import (AdamState, RngStream, adam_init, adam_step,
-                            finite_diff_gradient, log_softmax, sample_gaussian,
-                            sample_uniform, softmax, softmax_vjp)
+                            finite_diff_gradient, log_softmax, softmax, softmax_vjp)
 
 
 class TestSoftmax:
@@ -124,23 +123,21 @@ class TestRngStream:
         assert not np.array_equal(a, b)
 
     def test_gaussian_moments(self):
-        draws = sample_gaussian(RngStream(123, 9), 100_000)
+        draws = RngStream(123, 9).normal(100_000)
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.05
 
     def test_uniform_range(self):
         rng = RngStream(0, 4)
         for _ in range(100):
-            v = sample_uniform(rng, 0.2, 0.8)
+            v = rng.uniform(0.2, 0.8)
             assert 0.2 <= v < 0.8
+        draws = rng.uniform(0.2, 0.8, 10_000)
+        assert draws.min() >= 0.2 and draws.max() < 0.8
 
     def test_uniform_bad_bounds(self):
         with pytest.raises(InvalidInputError):
             RngStream(0, 0).uniform(1.0, 1.0)
-
-    def test_gaussian_needs_positive_count(self):
-        with pytest.raises(InvalidInputError):
-            sample_gaussian(RngStream(0, 0), 0)
 
     def test_derive_is_deterministic_and_decorrelated(self):
         r = RngStream(9, 5)

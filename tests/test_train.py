@@ -160,6 +160,15 @@ class TestCrossValidation:
         assert select_best_lambda([1.0, 0.1], [0.7, 0.7]) == 0.1
         assert select_best_lambda([1.0, 0.1], [0.7, 0.6]) == 1.0
 
+    def test_no_scored_checkpoint_picks_smallest(self):
+        inf = float("inf")
+        assert select_best_lambda([1.0, 0.1, 0.5], [-inf, -inf, -inf]) == 0.1
+        assert select_best_lambda([1.0, 0.1], [-inf, 0.2]) == 0.1
+
+    def test_fewer_steps_than_eval_interval_rejected(self):
+        with pytest.raises(InvalidConfigError, match="n_steps.*eval_interval"):
+            cross_validate_lambda(self.dataset(), tiny_config(n_steps=5), [0.1, 1.0])
+
     def test_too_few_validation_classes_rejected(self):
         ds = make_synthetic(SyntheticConfig(
             n_super=4, classes_per_super=1, instances_per_class=5,
