@@ -24,7 +24,7 @@ from .errors import (CizslError, DatasetFormatError, InvalidConfigError,
                      TrainingDivergedError)
 from .evaluate import (ClassCenters, curve_csv, curve_svg, harmonic_mean,
                        retrieval_precision, seen_unseen_curve, synthesize_centers,
-                       valid_retrieval_ratio, zsl_top1)
+                       valid_retrieval_ratio)
 from .gradcheck import run_gradient_contract
 from .net import load_checkpoint, save_checkpoint
 from .numerics import RngStream, STREAM_EVAL
@@ -61,8 +61,8 @@ class EvalOptions:
             raise InvalidConfigError("eval.samples_per_center must be >= 1")
         if self.metric not in ("l2", "cosine"):
             raise InvalidConfigError(f"eval.metric must be l2 or cosine, got {self.metric!r}")
-        if self.calibration_points < 1:
-            raise InvalidConfigError("eval.calibration_points must be >= 1")
+        if self.calibration_points < 3:
+            raise InvalidConfigError("eval.calibration_points must be >= 3")
         ratios = self.retrieval_ratios
         if not (isinstance(ratios, (tuple, list)) and ratios
                 and all(valid_retrieval_ratio(r) for r in ratios)):
@@ -227,22 +227,15 @@ def _unseen_centers(cfg, dataset, gen) -> ClassCenters:
 def cmd_eval(args) -> int:
     cfg, dataset, gen, _ = _load_eval_inputs(args)
     unseen_centers = _unseen_centers(cfg, dataset, gen)
-    unseen_rows = np.isin(dataset.labels, dataset.unseen_class_ids)
-    if not np.any(unseen_rows):
-        raise InvalidInputError("dataset has no unseen-class test instances")
-    top1 = zsl_top1(dataset.features[unseen_rows], dataset.labels[unseen_rows],
-                    unseen_centers, metric=cfg.eval.metric)
-
     seen_ids = np.sort(dataset.seen_class_ids)
     seen_centers = ClassCenters(class_ids=seen_ids,
                                 centers=class_means(dataset, seen_ids))
     curve = seen_unseen_curve(dataset.features, dataset.labels, seen_centers,
                               unseen_centers, metric=cfg.eval.metric,
                               n_points=cfg.eval.calibration_points)
-    zero = seen_unseen_curve(dataset.features, dataset.labels, seen_centers,
-                             unseen_centers, calibrations=np.array([0.0]),
-                             metric=cfg.eval.metric)
-    h = harmonic_mean(float(zero.seen_acc[1]), float(zero.unseen_acc[1]))
+    # the +inf anchor predicts every row unseen: zero-shot top-1
+    top1 = float(curve.unseen_acc[-1])
+    h = harmonic_mean(*curve.at_zero)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -30,11 +30,13 @@ class ClassCenters:
     source: str = "real"
 
     def __post_init__(self):
-        order = np.argsort(self.class_ids)
-        self.class_ids = np.asarray(self.class_ids, dtype=np.int64)[order]
-        self.centers = np.asarray(self.centers, dtype=np.float64)[order]
-        if self.centers.shape[0] != self.class_ids.shape[0]:
-            raise InvalidInputError("one center required per class id")
+        ids = np.asarray(self.class_ids, dtype=np.int64)
+        centers = np.asarray(self.centers, dtype=np.float64)
+        if centers.shape[0] != ids.shape[0]:
+            raise InvalidInputError(f"one center required per class id, got {ids.shape[0]} "
+                                    f"ids and {centers.shape[0]} centers")
+        order = np.argsort(ids)
+        self.class_ids, self.centers = ids[order], centers[order]
         if not np.all(np.isfinite(self.centers)):
             raise InvalidInputError("class centers contain non-finite values")
 
@@ -58,10 +60,19 @@ def synthesize_centers(gen: Generator, descriptors: dict[int, np.ndarray],
                         source=f"generated({n})")
 
 
+# Byte budget of one row block of the l2 difference tensor (rows x K x D
+# float64); squaring it takes as much again.
+_L2_BLOCK_BYTES = 32 * 2**20
+
+
 def _distances(features: np.ndarray, centers: np.ndarray, metric: str) -> np.ndarray:
     if metric == "l2":
-        diff = features[:, None, :] - centers[None, :, :]
-        return np.sqrt(np.sum(diff * diff, axis=2))
+        out = np.empty((features.shape[0], centers.shape[0]))
+        rows = max(1, _L2_BLOCK_BYTES // max(1, 8 * centers.size))
+        for start in range(0, features.shape[0], rows):
+            diff = features[start:start + rows, None, :] - centers[None, :, :]
+            out[start:start + rows] = np.sqrt(np.sum(diff * diff, axis=2))
+        return out
     if metric == "cosine":
         fn = features / np.maximum(np.linalg.norm(features, axis=1, keepdims=True), 1e-12)
         cn = centers / np.maximum(np.linalg.norm(centers, axis=1, keepdims=True), 1e-12)
@@ -69,16 +80,20 @@ def _distances(features: np.ndarray, centers: np.ndarray, metric: str) -> np.nda
     raise InvalidInputError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
-def _macro_accuracy(pred: np.ndarray, true: np.ndarray,
-                    class_ids: np.ndarray) -> float:
-    accs = []
-    for cid in class_ids:
-        sel = true == cid
-        if np.any(sel):
-            accs.append(float(np.mean(pred[sel] == cid)))
-    if not accs:
-        raise InvalidInputError("no test instances for the requested classes")
-    return float(np.mean(accs))
+def _class_positions(labels: np.ndarray, class_ids: np.ndarray) -> np.ndarray:
+    """Each row's index in the sorted `class_ids`, or `class_ids.size` for
+    rows labelled with another class."""
+    return np.where(np.isin(labels, class_ids),
+                    np.searchsorted(class_ids, labels), class_ids.size)
+
+
+def _macro_accuracy(hits: np.ndarray, positions: np.ndarray, n_classes: int) -> float:
+    """Mean over classes of the per-class hit rate; classes without rows are
+    skipped and rows at position `n_classes` count for no class."""
+    counts = np.bincount(positions, minlength=n_classes + 1)[:n_classes]
+    hit_counts = np.bincount(positions, weights=hits, minlength=n_classes + 1)[:n_classes]
+    present = counts > 0
+    return float(np.mean(hit_counts[present] / counts[present]))
 
 
 def zsl_top1(features: np.ndarray, labels: np.ndarray, centers: ClassCenters,
@@ -92,8 +107,9 @@ def zsl_top1(features: np.ndarray, labels: np.ndarray, centers: ClassCenters,
     if missing:
         raise InvalidInputError(f"test labels without centers: {sorted(missing)}")
     d = _distances(features, centers.centers, metric)
-    pred = centers.class_ids[np.argmin(d, axis=1)]
-    return _macro_accuracy(pred, labels, np.unique(labels))
+    hits = centers.class_ids[np.argmin(d, axis=1)] == labels
+    class_ids = np.unique(labels)
+    return _macro_accuracy(hits, _class_positions(labels, class_ids), class_ids.size)
 
 
 @dataclass
@@ -102,13 +118,15 @@ class SeenUnseenCurve:
 
     Points are (calibration, seen accuracy, unseen accuracy) sorted by
     calibration, including the two infinite anchors; `auc` integrates seen
-    accuracy (y) over unseen accuracy (x) by trapezoid.
+    accuracy (y) over unseen accuracy (x) by trapezoid. `at_zero` is the
+    (seen, unseen) pair without calibration.
     """
 
     calibrations: np.ndarray
     seen_acc: np.ndarray
     unseen_acc: np.ndarray
     auc: float
+    at_zero: tuple[float, float]
 
 
 def trapezoid_auc(x: np.ndarray, y: np.ndarray) -> float:
@@ -122,81 +140,48 @@ def trapezoid_auc(x: np.ndarray, y: np.ndarray) -> float:
 
 def seen_unseen_curve(features: np.ndarray, labels: np.ndarray,
                       seen_centers: ClassCenters, unseen_centers: ClassCenters,
-                      calibrations: np.ndarray | None = None,
-                      metric: str = "l2", n_points: int = 201,
-                      class_filter: tuple[int, int] | None = None) -> SeenUnseenCurve:
+                      metric: str = "l2", n_points: int = 201) -> SeenUnseenCurve:
     """Sweep the calibration bias and record the (seen, unseen) accuracy pair.
 
-    Scores are negated distances; each calibration value is subtracted from
-    all seen-class scores before the argmax. The default grid spans the
-    largest observed per-instance gap between best seen and best unseen
-    score, so the sweep covers every decision flip; the +/- infinity anchors
-    (everything seen / everything unseen) are always appended.
-
-    `class_filter` = (seen id, unseen id) restricts the reported accuracy
-    pair to one class on each side while prediction stays over the full
-    label space.
+    One distance matrix over all centers gives each row its nearest seen
+    class at distance d_s and its nearest unseen class at d_u. At
+    calibration c a row predicts its seen class iff d_s + c <= d_u, which is
+    subtracting c from the seen classes' negated-distance scores with the
+    seen side winning an exact tie. The grid of `n_points` spans the largest
+    per-row |d_u - d_s|, so it covers every decision flip; the -inf
+    (everything seen) and +inf (everything unseen) anchors are the same
+    decision. Rows labelled with neither population are ignored.
     """
+    if n_points < 3:
+        raise InvalidInputError(f"eval.calibration_points must be >= 3, got {n_points}")
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels)
     seen_ids = seen_centers.class_ids
     unseen_ids = unseen_centers.class_ids
-    seen_rows = np.isin(labels, seen_ids)
-    unseen_rows = np.isin(labels, unseen_ids)
-    if not np.any(seen_rows) or not np.any(unseen_rows):
+    n_seen, n_unseen = seen_ids.size, unseen_ids.size
+    seen_pos = _class_positions(labels, seen_ids)
+    unseen_pos = _class_positions(labels, unseen_ids)
+    if np.all(seen_pos == n_seen) or np.all(unseen_pos == n_unseen):
         raise InvalidInputError("need test instances from both populations")
 
-    acc_seen_ids = seen_ids if class_filter is None else np.array([class_filter[0]])
-    acc_unseen_ids = unseen_ids if class_filter is None else np.array([class_filter[1]])
+    d = _distances(features, np.concatenate([seen_centers.centers,
+                                             unseen_centers.centers]), metric)
+    d_s, d_u = d[:, :n_seen].min(axis=1), d[:, n_seen:].min(axis=1)
+    seen_hit = seen_ids[d[:, :n_seen].argmin(axis=1)] == labels
+    unseen_hit = unseen_ids[d[:, n_seen:].argmin(axis=1)] == labels
 
-    all_ids = np.concatenate([seen_ids, unseen_ids])
-    all_centers = np.concatenate([seen_centers.centers, unseen_centers.centers])
-    scores = -_distances(features, all_centers, metric)
-    n_seen = seen_ids.size
-    s_best = scores[:, :n_seen].max(axis=1)
-    u_best = scores[:, n_seen:].max(axis=1)
+    def accuracy_pair(c: float) -> tuple[float, float]:
+        hits = np.where(d_s + c <= d_u, seen_hit, unseen_hit)
+        return (_macro_accuracy(hits, seen_pos, n_seen),
+                _macro_accuracy(hits, unseen_pos, n_unseen))
 
-    if calibrations is None:
-        if n_points < 1:
-            raise InvalidInputError("calibration grid needs at least one point")
-        d_max = float(np.max(np.abs(s_best - u_best)))
-        span = d_max if d_max > 0 else 1.0
-        span *= 1.0 + 1e-9
-        calibrations = np.linspace(-span, span, n_points)
-    else:
-        calibrations = np.asarray(calibrations, dtype=np.float64)
-        if calibrations.size == 0:
-            raise InvalidInputError("empty calibration grid")
-        if np.any(np.diff(calibrations) < 0):
-            raise InvalidInputError("calibration grid must be sorted ascending")
-
-    # anchor accuracies: prediction restricted to one side
-    pred_seen_only = seen_ids[np.argmax(scores[:, :n_seen], axis=1)]
-    pred_unseen_only = unseen_ids[np.argmax(scores[:, n_seen:], axis=1)]
-    a_seen = _macro_accuracy(pred_seen_only[seen_rows], labels[seen_rows], acc_seen_ids) \
-        if (class_filter is None or np.any(labels == class_filter[0])) else 0.0
-    a_unseen = _macro_accuracy(pred_unseen_only[unseen_rows], labels[unseen_rows],
-                               acc_unseen_ids) \
-        if (class_filter is None or np.any(labels == class_filter[1])) else 0.0
-
-    cals = [-np.inf]
-    s_accs = [a_seen]
-    u_accs = [0.0]
-    for c in calibrations:
-        adjusted = scores.copy()
-        adjusted[:, :n_seen] -= c
-        pred = all_ids[np.argmax(adjusted, axis=1)]
-        s_accs.append(_macro_accuracy(pred[seen_rows], labels[seen_rows], acc_seen_ids))
-        u_accs.append(_macro_accuracy(pred[unseen_rows], labels[unseen_rows],
-                                      acc_unseen_ids))
-        cals.append(float(c))
-    cals.append(np.inf)
-    s_accs.append(0.0)
-    u_accs.append(a_unseen)
-
-    auc = trapezoid_auc(np.array(u_accs), np.array(s_accs))
-    return SeenUnseenCurve(calibrations=np.array(cals), seen_acc=np.array(s_accs),
-                           unseen_acc=np.array(u_accs), auc=auc)
+    d_max = float(np.max(np.abs(d_u - d_s)))
+    span = (d_max if d_max > 0 else 1.0) * (1.0 + 1e-9)
+    cals = np.concatenate([[-np.inf], np.linspace(-span, span, n_points), [np.inf]])
+    seen_acc, unseen_acc = (np.array(a) for a in zip(*map(accuracy_pair, cals)))
+    return SeenUnseenCurve(calibrations=cals, seen_acc=seen_acc, unseen_acc=unseen_acc,
+                           auc=trapezoid_auc(unseen_acc, seen_acc),
+                           at_zero=accuracy_pair(0.0))
 
 
 def harmonic_mean(seen_acc: float, unseen_acc: float) -> float:

@@ -286,6 +286,13 @@ def cross_validate_lambda(dataset: ZslDataset, config: TrainConfig,
         raise InvalidConfigError(
             f"train.n_steps ({config.n_steps}) must be >= train.eval_interval "
             f"({config.eval_interval}): every lambda needs a scored checkpoint")
+    raw = os.environ.get("CIZSL_THREADS", "") or "1"
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise InvalidConfigError(f"CIZSL_THREADS must be an integer >= 1, got {raw!r}")
     train_ds, _ = split_train_val(dataset, split_ratio, seed=config.seed)
     if train_ds.unseen_class_ids.size < 2:
         raise InvalidSplitError(
@@ -293,7 +300,6 @@ def cross_validate_lambda(dataset: ZslDataset, config: TrainConfig,
             f"{train_ds.unseen_class_ids.size}")
 
     jobs = [(train_ds, config, float(lam), i) for i, lam in enumerate(grid)]
-    workers = int(os.environ.get("CIZSL_THREADS", "1") or "1")
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             per_lambda = list(pool.map(_sweep_one, jobs))

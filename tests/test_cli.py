@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cizsl.cli import main
+from cizsl.cli import load_experiment_config, main
 from cizsl.data import SyntheticConfig, ZslDataset, make_synthetic, save_dataset
-from cizsl.net import Generator, Layer, MlpNetwork, save_checkpoint
+from cizsl.evaluate import synthesize_centers, zsl_top1
+from cizsl.net import Generator, Layer, MlpNetwork, load_checkpoint, save_checkpoint
+from cizsl.numerics import STREAM_EVAL, RngStream
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -136,6 +138,34 @@ class TestEvalCommands:
         code, _, err = run_cli(capsys, "eval", "--config", str(cfg_path),
                                "--checkpoint", str(tmp / "nope.czsl"))
         assert code == 1
+
+    def test_top1_equals_zsl_top1_on_unseen_rows(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "cfg.json")
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        ckpt = tmp_path / "run" / "checkpoint_final.czsl"
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "eval", "--config", str(cfg_path),
+                               "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval"))
+        assert code == 0
+        metrics = dict(line.split("=") for line in out.strip().splitlines())
+
+        cfg = load_experiment_config(cfg_path)
+        ds = cfg.load_data()
+        gen, _ = load_checkpoint(ckpt)
+        desc = {int(c): ds.descriptor_of(int(c)) for c in ds.unseen_class_ids}
+        centers = synthesize_centers(gen, desc, cfg.eval.samples_per_center,
+                                     RngStream(cfg.train.seed, STREAM_EVAL))
+        rows = np.isin(ds.labels, ds.unseen_class_ids)
+        top1 = zsl_top1(ds.features[rows], ds.labels[rows], centers)
+        assert metrics["top1"] == f"{top1:.6g}"
+
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_too_few_calibration_points_exits_1(self, tmp_path, capsys, points):
+        cfg = write_config(tmp_path / "cfg.json", eval={"calibration_points": points})
+        code, _, err = run_cli(capsys, "eval", "--config", str(cfg),
+                               "--checkpoint", str(tmp_path / "unused.czsl"))
+        assert code == 1
+        assert "eval.calibration_points" in err
 
     def test_dim_mismatch_exits_1(self, trained_run, capsys, tmp_path):
         cfg_path, ckpt, _ = trained_run
@@ -337,6 +367,15 @@ class TestSweepLambdaCommand:
                                "--grid", "0.0,0.5")
         assert code == 1
         assert "train.n_steps" in err and "train.eval_interval" in err
+
+    @pytest.mark.parametrize("threads", ["two", "0", "-1", "1.5"])
+    def test_bad_thread_count_exits_1(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("CIZSL_THREADS", threads)
+        cfg = write_config(tmp_path / "cfg.json")
+        code, _, err = run_cli(capsys, "sweep-lambda", "--config", str(cfg),
+                               "--grid", "0.0,0.5")
+        assert code == 1
+        assert "CIZSL_THREADS" in err
 
     @pytest.mark.parametrize("grid", ["abc", "0.1,x", "nan", "1,inf"])
     def test_unparseable_grid_exits_1(self, tmp_path, capsys, grid):

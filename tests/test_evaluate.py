@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cizsl import evaluate
 from cizsl.errors import InvalidInputError
-from cizsl.evaluate import (ClassCenters, curve_csv, curve_svg, harmonic_mean,
+from cizsl.evaluate import (ClassCenters, _distances, curve_csv, curve_svg, harmonic_mean,
                             retrieval_precision, seen_unseen_curve,
                             synthesize_centers, trapezoid_auc, zsl_top1)
 from cizsl.net import Generator, GeneratorArch, Layer, MlpNetwork, build_generator
@@ -61,6 +64,44 @@ class TestSynthesizeCenters:
         a = synthesize_centers(gen, {1: t1, 2: t2}, 7, RngStream(1, 0))
         b = synthesize_centers(gen, {2: t2, 1: t1}, 7, RngStream(1, 0))
         np.testing.assert_array_equal(a.centers, b.centers)
+
+
+class TestClassCenters:
+    def test_sorted_by_class_id(self):
+        c = centers_of([7, 3], [[1.0], [2.0]])
+        np.testing.assert_array_equal(c.class_ids, [3, 7])
+        np.testing.assert_array_equal(c.centers, [[2.0], [1.0]])
+
+    @pytest.mark.parametrize("ids,rows", [([1, 2, 3], 2), ([1, 2], 3)])
+    def test_length_mismatch_rejected(self, ids, rows):
+        with pytest.raises(InvalidInputError, match="one center required per class id"):
+            centers_of(ids, np.zeros((rows, 2)))
+
+
+class TestDistances:
+    @pytest.mark.parametrize("n,k,d", [(37, 5, 3), (203, 17, 300)])
+    def test_row_blocks_match_one_block(self, monkeypatch, n, k, d):
+        rng = RngStream(18, 0)
+        feats, cents = rng.normal((n, d)), rng.normal((k, d))
+        whole = _distances(feats, cents, "l2")
+        for rows in (1, 3, n - 1):
+            monkeypatch.setattr(evaluate, "_L2_BLOCK_BYTES", rows * 8 * k * d)
+            np.testing.assert_array_equal(_distances(feats, cents, "l2"), whole)
+        monkeypatch.setattr(evaluate, "_L2_BLOCK_BYTES", 1)
+        np.testing.assert_array_equal(_distances(feats, cents, "l2"), whole)
+
+    def test_row_blocks_bound_memory(self, monkeypatch):
+        # one block would be a 51.2 MB difference tensor; the output is 0.8 MB
+        rng = RngStream(19, 0)
+        feats, cents = rng.normal((2000, 64)), rng.normal((50, 64))
+        monkeypatch.setattr(evaluate, "_L2_BLOCK_BYTES", 2**20)
+        tracemalloc.start()
+        try:
+            _distances(feats, cents, "l2")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestTop1:
@@ -172,44 +213,78 @@ class TestCurve:
         assert curve.auc == pytest.approx(1.0)  # perfect at every calibration
         assert 0.0 <= curve.auc <= 1.0
 
-    def test_curve_matches_brute_force_reclassification(self):
+    def random_setup(self):
         rng = RngStream(16, 0)
         seen = centers_of([1, 2], rng.normal((2, 3)))
         unseen = centers_of([5, 6], rng.normal((2, 3)))
         feats = rng.normal((60, 3))
         labels = np.concatenate([np.array([1, 2])[rng.integers(0, 2, 30)],
                                  np.array([5, 6])[rng.integers(0, 2, 30)]])
-        cals = np.linspace(-2, 2, 9)
-        curve = seen_unseen_curve(feats, labels, seen, unseen, calibrations=cals)
-        all_ids = [1, 2, 5, 6]
-        all_cents = np.vstack([seen.centers, unseen.centers])
-        for j, c in enumerate(cals):
-            correct = {cid: [] for cid in all_ids}
+        return feats, labels, seen, unseen
+
+    def test_curve_matches_brute_force_reclassification(self):
+        feats, labels, seen, unseen = self.random_setup()
+        curve = seen_unseen_curve(feats, labels, seen, unseen, n_points=9)
+
+        def brute_pair(c):
+            # per instance: best class on each side by an explicit loop (ties
+            # to the smaller id), then the calibrated seen score against the
+            # unseen one, the seen side winning an exact tie
+            correct = {cid: [] for cid in (1, 2, 5, 6)}
             for i in range(60):
-                scores = [-np.linalg.norm(feats[i] - all_cents[k]) -
-                          (c if k < 2 else 0.0) for k in range(4)]
-                pred = all_ids[int(np.argmax(scores))]
+                best = {}
+                for side, centers in (("s", seen), ("u", unseen)):
+                    best_id, best_d = None, np.inf
+                    for cid, center in zip(centers.class_ids, centers.centers):
+                        d = float(np.linalg.norm(feats[i] - center))
+                        if d < best_d:
+                            best_id, best_d = int(cid), d
+                    best[side] = (best_id, best_d)
+                pred = best["s"][0] if -best["s"][1] - c >= -best["u"][1] else best["u"][0]
                 correct[int(labels[i])].append(pred == labels[i])
             s_acc = np.mean([np.mean(correct[cid]) for cid in (1, 2) if correct[cid]])
             u_acc = np.mean([np.mean(correct[cid]) for cid in (5, 6) if correct[cid]])
-            assert curve.seen_acc[j + 1] == pytest.approx(s_acc, abs=1e-12)
-            assert curve.unseen_acc[j + 1] == pytest.approx(u_acc, abs=1e-12)
+            return s_acc, u_acc
 
-    def test_class_filter_reports_single_pair(self):
-        feats, labels, seen, unseen = self.separable_setup()
-        curve = seen_unseen_curve(feats, labels, seen, unseen, n_points=11,
-                                  class_filter=(1, 10))
-        assert 0.0 <= curve.auc <= 1.0
-        assert curve.seen_acc[0] == 1.0
+        assert curve.calibrations.size == 9 + 2
+        for j, c in enumerate(curve.calibrations):
+            s_acc, u_acc = brute_pair(float(c))
+            assert curve.seen_acc[j] == pytest.approx(s_acc, abs=1e-12)
+            assert curve.unseen_acc[j] == pytest.approx(u_acc, abs=1e-12)
+        s_acc, u_acc = brute_pair(0.0)
+        assert curve.at_zero[0] == pytest.approx(s_acc, abs=1e-12)
+        assert curve.at_zero[1] == pytest.approx(u_acc, abs=1e-12)
 
-    def test_unsorted_grid_rejected(self):
+    def test_unseen_anchor_is_zsl_top1(self):
+        feats, labels, seen, unseen = self.random_setup()
+        curve = seen_unseen_curve(feats, labels, seen, unseen, n_points=5)
+        rows = np.isin(labels, unseen.class_ids)
+        assert curve.unseen_acc[-1] == zsl_top1(feats[rows], labels[rows], unseen)
+
+    def test_rows_of_neither_population_ignored(self):
+        feats, labels, seen, unseen = self.random_setup()
+        # copies of existing rows keep the calibration span unchanged
+        extra = feats[::3]
+        with_extra = seen_unseen_curve(
+            np.vstack([feats, extra]),
+            np.concatenate([labels, np.full(len(extra), 99)]), seen, unseen, n_points=7)
+        plain = seen_unseen_curve(feats, labels, seen, unseen, n_points=7)
+        for field in ("calibrations", "seen_acc", "unseen_acc"):
+            np.testing.assert_array_equal(getattr(with_extra, field), getattr(plain, field))
+        assert with_extra.auc == plain.auc
+        assert with_extra.at_zero == plain.at_zero
+
+    @pytest.mark.parametrize("n_points", [-1, 0, 1, 2])
+    def test_fewer_than_three_points_rejected(self, n_points):
         feats, labels, seen, unseen = self.separable_setup()
-        with pytest.raises(InvalidInputError):
-            seen_unseen_curve(feats, labels, seen, unseen,
-                              calibrations=np.array([1.0, -1.0]))
-        with pytest.raises(InvalidInputError):
-            seen_unseen_curve(feats, labels, seen, unseen,
-                              calibrations=np.array([]))
+        with pytest.raises(InvalidInputError, match="eval.calibration_points"):
+            seen_unseen_curve(feats, labels, seen, unseen, n_points=n_points)
+
+    def test_one_population_missing_rejected(self):
+        feats, labels, seen, unseen = self.separable_setup()
+        rows = np.isin(labels, seen.class_ids)
+        with pytest.raises(InvalidInputError, match="both populations"):
+            seen_unseen_curve(feats[rows], labels[rows], seen, unseen)
 
     def test_csv_export_format(self):
         feats, labels, seen, unseen = self.separable_setup()

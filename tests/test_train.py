@@ -195,6 +195,18 @@ class TestCrossValidation:
         assert best_seq == best_par
         assert rows_seq == rows_par
 
+    @pytest.mark.parametrize("raw", ["", " 1 "])
+    def test_empty_or_one_thread_runs_sequentially(self, monkeypatch, raw):
+        monkeypatch.setenv("CIZSL_THREADS", raw)
+        best, rows = cross_validate_lambda(self.dataset(), tiny_config(n_steps=10), [0.1])
+        assert best == 0.1 and rows
+
+    @pytest.mark.parametrize("raw", ["two", "0", "-2", "2.0"])
+    def test_bad_thread_count_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("CIZSL_THREADS", raw)
+        with pytest.raises(InvalidConfigError, match="CIZSL_THREADS"):
+            cross_validate_lambda(self.dataset(), tiny_config(n_steps=10), [0.1])
+
     def test_validation_auc_in_unit_interval(self):
         from cizsl.data import split_train_val
         ts, _ = split_train_val(self.dataset(), 0.8, seed=1)
