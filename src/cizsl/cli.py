@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -96,20 +97,30 @@ class ExperimentConfig:
         return make_synthetic(self.synthetic)
 
 
-def _build_section(cls, raw: dict, section: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    for key in raw:
-        if key not in fields:
-            raise InvalidConfigError(f"unknown field {section}.{key!r}")
-    cleaned = {}
-    for key, value in raw.items():
+def _typed(value, hint, name: str):
+    """A JSON value as the annotated field type: ints pass for floats (but
+    bools for neither), lists become tuples of numbers; anything else that
+    does not match raises InvalidConfigError naming the field."""
+    if typing.get_origin(hint) is tuple:
         if isinstance(value, list):
-            value = tuple(value)
-        cleaned[key] = value
-    try:
-        return cls(**cleaned)
-    except TypeError as e:
-        raise InvalidConfigError(f"bad {section} section: {e}") from e
+            return tuple(_typed(v, typing.get_args(hint)[0], name) for v in value)
+        raise InvalidConfigError(f"{name} must be a list of numbers, got {value!r}")
+    if hint is float and type(value) is int:
+        return float(value)
+    if isinstance(value, hint) and not (isinstance(value, bool) and hint is not bool):
+        return value
+    raise InvalidConfigError(f"{name} must be of type {hint.__name__}, got {value!r}")
+
+
+def _build_section(cls, raw: dict, section: str):
+    if not isinstance(raw, dict):
+        raise InvalidConfigError(f"config section {section!r} must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    for key in raw:
+        if key not in hints:
+            raise InvalidConfigError(f"unknown field {section}.{key!r}")
+    return cls(**{key: _typed(value, hints[key], f"{section}.{key}")
+                  for key, value in raw.items()})
 
 
 def default_config_dict() -> dict:
@@ -141,6 +152,8 @@ def load_experiment_config(path, seed: int | None = None,
     for key in raw:
         if key not in known:
             raise InvalidConfigError(f"unknown top-level config field {key!r}")
+        if key in ("dataset", "out_dir") and not isinstance(raw[key], str):
+            raise InvalidConfigError(f"{key} must be a string, got {raw[key]!r}")
     train_cfg = _build_section(TrainConfig, raw.get("train", {}), "train")
     eval_cfg = _build_section(EvalOptions, raw.get("eval", {}), "eval")
     synth_cfg = None

@@ -14,7 +14,7 @@ exponent; this is the form under which the family's limit identities hold:
     gamma -> 1, beta -> 1    : KL(p || q)
     gamma -> 0.5, beta -> 1  : 2 * Bhattacharyya = -2 ln sum_i sqrt(p_i q_i)
 
-Evaluation within `guard_eps` of the removable singularities at gamma = 1 or
+Evaluation within `GUARD_EPS` of the removable singularities at gamma = 1 or
 beta = 1 dispatches to the analytic limit (values and gradients), so learnable
 parameters can cross the strip without blowing up.
 """
@@ -29,6 +29,9 @@ from .errors import DivergenceUndefinedError, InvalidConfigError, InvalidInputEr
 MODES = ("sharma-mittal", "kl", "renyi", "tsallis", "bhattacharyya")
 
 _TINY = np.finfo(np.float64).tiny
+
+# half-width of the strips around gamma = 1 and beta = 1 evaluated by limits
+GUARD_EPS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,6 @@ class DivergenceParams:
     beta: float = 0.5
     learn_gamma: bool = False
     learn_beta: bool = False
-    guard_eps: float = 1e-3
 
     def validate(self) -> "DivergenceParams":
         if self.mode not in MODES:
@@ -57,8 +59,6 @@ class DivergenceParams:
             raise InvalidConfigError(f"mode {self.mode!r} has no learnable parameters")
         if self.mode in ("renyi", "tsallis") and self.learn_beta:
             raise InvalidConfigError(f"mode {self.mode!r} pins beta; it cannot be learnable")
-        if self.guard_eps <= 0:
-            raise InvalidConfigError("guard_eps must be positive")
         return self
 
     # -- unconstrained parameterization used by the optimizer ---------------
@@ -73,6 +73,8 @@ class DivergenceParams:
         return np.array(u, dtype=np.float64)
 
     def with_learnable_vector(self, u: np.ndarray) -> "DivergenceParams":
+        """Copy with the learnable parameters read from `u`; `tsallis` keeps
+        beta tied to gamma."""
         u = np.asarray(u, dtype=np.float64)
         out = self
         i = 0
@@ -81,6 +83,8 @@ class DivergenceParams:
             i += 1
         if self.learn_beta:
             out = replace(out, beta=float(u[i]))
+        if self.mode == "tsallis":
+            out = replace(out, beta=out.gamma)
         return out
 
     def learnable_gradient(self, d_gamma: float, d_beta: float) -> np.ndarray:
@@ -146,7 +150,7 @@ def _sm_batch(p: np.ndarray, q: np.ndarray, params: DivergenceParams):
         d SM/d gamma|_{gamma->1} = e^{(beta-1) KL} (M - KL^2) / 2
     with M = sum p ln^2(p/q), so training can traverse the strip smoothly.
     """
-    gamma, beta, eps = params.gamma, params.beta, params.guard_eps
+    gamma, beta = params.gamma, params.beta
     mode = params.mode
     zeros = np.zeros(p.shape[0])
 
@@ -157,8 +161,8 @@ def _sm_batch(p: np.ndarray, q: np.ndarray, params: DivergenceParams):
         dp = -0.5 * np.sqrt(np.maximum(q, _TINY) / np.maximum(p, _TINY)) / bc
         return -np.log(bc[:, 0]), dp, zeros, zeros
 
-    near_b = abs(beta - 1.0) < eps
-    if abs(gamma - 1.0) < eps:
+    near_b = abs(beta - 1.0) < GUARD_EPS
+    if abs(gamma - 1.0) < GUARD_EPS:
         # KL limit of the family
         k = _kl_value(p, q)
         m2 = _kl_second_moment(p, q)

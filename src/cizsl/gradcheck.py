@@ -14,15 +14,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .divergence import (DivergenceParams, batch_minmax_normalize,
-                         entropy_loss_batch, minmax_bounds,
-                         minmax_gradient_scale, sm_divergence,
-                         sm_divergence_grads)
+from .divergence import (DivergenceParams, entropy_loss_batch, minmax_bounds,
+                         sm_divergence, sm_divergence_grads)
 from .losses import creativity_loss, discriminator_loss, generator_loss, visual_pivot
 from .net import (DiscriminatorArch, GeneratorArch, build_discriminator,
                   build_generator, gradient_penalty)
-from .numerics import (RngStream, finite_diff_gradient, relative_error, softmax,
-                       softmax_vjp)
+from .numerics import RngStream, finite_diff_gradient, relative_error, softmax
 
 TOL_DEFAULT = 1e-4
 TOL_PENALTY = 1e-3
@@ -64,8 +61,7 @@ def _tiny_models(rng: RngStream, k_cls: int):
                                         output_dim=x_dim, embed_dim=4,
                                         hidden_dims=(6,)), rng)
     disc = build_discriminator(DiscriminatorArch(input_dim=x_dim, n_classes=k_cls,
-                                                 hidden_dims=(6,),
-                                                 hidden_slope=0.2), rng)
+                                                 hidden_dims=(6,)), rng)
     # move to a generic parameter point (random biases included): with the
     # builders' zero biases, an all-dead generated row would park every
     # hidden pre-activation exactly on the leaky-relu kink, where central
@@ -93,6 +89,25 @@ def _div_params(rng: RngStream, i: int) -> DivergenceParams:
     if mode == "bhattacharyya":
         gamma = 0.5
     return DivergenceParams(mode=mode, gamma=gamma, beta=beta)
+
+
+def _entropy_bounds(logits: np.ndarray, params: DivergenceParams):
+    """Min-max bounds of the batch's entropy losses, frozen by the closures."""
+    return minmax_bounds(entropy_loss_batch(softmax(logits), params)[0])
+
+
+def _param_fd(model, objective) -> np.ndarray:
+    """Central differences of `objective()` over the parameters of `model`
+    (a Generator or Discriminator), which are restored afterwards."""
+    theta0 = model.param_vector()
+
+    def f(theta):
+        model.set_param_vector(theta)
+        return objective()
+
+    fd = finite_diff_gradient(f, theta0.copy(), 1e-6)
+    model.set_param_vector(theta0)
+    return fd
 
 
 def run_gradient_contract(seed: int = 0, n_configs: int = 20) -> GradReport:
@@ -140,76 +155,43 @@ def run_gradient_contract(seed: int = 0, n_configs: int = 20) -> GradReport:
             fd_b = finite_diff_gradient(div_of_beta, np.array([params.beta]), 1e-6)
             record("divergence_dbeta", relative_error(np.array([db]), fd_b))
 
-        # entropy loss incl. batch min-max normalization, w.r.t. logits
+        # logits of a hallucinated batch for the creativity-term families,
+        # drawn here so that every later draw keeps its place in the stream
         logits0 = rng.normal((m, k_cls))
-        probs0 = softmax(logits0)
-        e0, _, _, _ = entropy_loss_batch(probs0, params)
-        bounds = minmax_bounds(e0)
-
-        def le_norm_of(logits_flat):
-            probs = softmax(logits_flat.reshape(m, k_cls))
-            e, _, _, _ = entropy_loss_batch(probs, params)
-            return float(np.mean(batch_minmax_normalize(e, bounds)))
-
-        _, de_dp, _, _ = entropy_loss_batch(probs0, params)
-        scale = minmax_gradient_scale(bounds)
-        analytic = softmax_vjp(probs0, de_dp * (scale / m)).ravel()
-        fd = finite_diff_gradient(le_norm_of, logits0.ravel().copy(), 1e-6)
-        record("entropy_loss_normalized", relative_error(analytic, fd))
 
         # penalty: value + parameter gradient
         x_hat = rng.normal((m, x_dim))
         _, grad_pen, _ = gradient_penalty(disc, x_hat)
-        theta_d0 = disc.param_vector()
-
-        def pen_of(theta):
-            disc.set_param_vector(theta)
-            val, _, _ = gradient_penalty(disc, x_hat)
-            return val
-
-        fd = finite_diff_gradient(pen_of, theta_d0.copy(), 1e-6)
-        disc.set_param_vector(theta_d0)
+        fd = _param_fd(disc, lambda: gradient_penalty(disc, x_hat)[0])
         record("lipschitz_penalty", relative_error(grad_pen, fd))
 
-        # creativity loss w.r.t. generator params and (gamma, beta)
+        # creativity term w.r.t. its logits and (gamma, beta), bounds frozen
         t_h = rng.normal((m, t_dim))
         z_h = rng.normal((m, z_dim))
         lam = float(rng.uniform(0.3, 2.0))
-        res_c = creativity_loss(gen, disc, t_h, z_h, lam, params)
-        x0 = gen.forward(t_h, z_h)
-        (_, logits_c) = disc.forward(x0)
-        e_c, _, _, _ = entropy_loss_batch(softmax(logits_c), params)
-        bounds_c = minmax_bounds(e_c)
-        theta_g0 = gen.param_vector()
-
-        def creat_of(theta):
-            gen.set_param_vector(theta)
-            r = creativity_loss(gen, disc, t_h, z_h, lam, params, norm_bounds=bounds_c)
-            return r.value
-
-        fd = finite_diff_gradient(creat_of, theta_g0.copy(), 1e-6)
-        gen.set_param_vector(theta_g0)
-        record("creativity_loss_dgen", relative_error(res_c.grad_gen, fd))
+        bounds = _entropy_bounds(logits0, params)
+        _, d_logits, grad_div, _ = creativity_loss(logits0, lam, params)
+        fd = finite_diff_gradient(
+            lambda lf: creativity_loss(lf.reshape(m, k_cls), lam, params,
+                                       norm_bounds=bounds)[0],
+            logits0.ravel().copy(), 1e-6)
+        record("creativity_loss_dlogits", relative_error(d_logits.ravel(), fd))
 
         if params.mode in ("sharma-mittal", "renyi", "tsallis"):
             def creat_of_gamma(gv):
                 pg = replace(params, gamma=float(gv[0]),
                              beta=float(gv[0]) if params.mode == "tsallis" else params.beta)
-                return creativity_loss(gen, disc, t_h, z_h, lam, pg,
-                                       norm_bounds=bounds_c).value
+                return creativity_loss(logits0, lam, pg, norm_bounds=bounds)[0]
 
             fd_g = finite_diff_gradient(creat_of_gamma, np.array([params.gamma]), 1e-6)
-            record("creativity_loss_dgamma",
-                   relative_error(np.array([res_c.grad_divergence[0]]), fd_g))
+            record("creativity_loss_dgamma", relative_error(np.array([grad_div[0]]), fd_g))
         if params.mode == "sharma-mittal":
             def creat_of_beta(bv):
-                return creativity_loss(gen, disc, t_h, z_h, lam,
-                                       replace(params, beta=float(bv[0])),
-                                       norm_bounds=bounds_c).value
+                return creativity_loss(logits0, lam, replace(params, beta=float(bv[0])),
+                                       norm_bounds=bounds)[0]
 
             fd_b = finite_diff_gradient(creat_of_beta, np.array([params.beta]), 1e-6)
-            record("creativity_loss_dbeta",
-                   relative_error(np.array([res_c.grad_divergence[1]]), fd_b))
+            record("creativity_loss_dbeta", relative_error(np.array([grad_div[1]]), fd_b))
 
         # visual pivot w.r.t. the generated rows
         x_p = rng.normal((m + 1, x_dim))
@@ -221,42 +203,40 @@ def run_gradient_contract(seed: int = 0, n_configs: int = 20) -> GradReport:
             x_p.ravel().copy(), 1e-6)
         record("visual_pivot", relative_error(d_x_p.ravel(), fd))
 
-        # full generator loss (all four terms)
+        # full generator loss (all four terms, the chain from the creativity
+        # term's logits into G included) and critic loss incl. the penalty
+        # (double backprop path); the extra-class variants fold the labels
+        # into the first k_cls - 1 classes, so they draw nothing
+        bounds_c = _entropy_bounds(disc.forward(gen.forward(t_h, z_h))[1], params)
         y_s = rng.integers(0, k_cls, m)
         t_s = rng.normal((m, t_dim))
         z_s = rng.normal((m, z_dim))
         centers_all = rng.normal((k_cls, x_dim))
-        res_gl = generator_loss(gen, disc, t_s, y_s, z_s, t_h, z_h, lam, params,
-                                centers_all, norm_bounds=bounds_c)
-
-        def gl_of(theta):
-            gen.set_param_vector(theta)
-            return generator_loss(gen, disc, t_s, y_s, z_s, t_h, z_h, lam, params,
-                                  centers_all, norm_bounds=bounds_c).value
-
-        fd = finite_diff_gradient(gl_of, theta_g0.copy(), 1e-6)
-        gen.set_param_vector(theta_g0)
-        record("generator_loss", relative_error(res_gl.grad_gen, fd))
-
-        # discriminator loss incl. the penalty (double backprop path)
         x_real = rng.normal((m, x_dim))
         y_real = rng.integers(0, k_cls, m)
         eps = rng.uniform(0.0, 1.0, m)
         gp_w = float(rng.uniform(0.5, 5.0))
-        res_d = discriminator_loss(disc, gen, x_real, y_real, t_s, y_s, z_s,
-                                   gp_w, eps)
+        for suffix, extra in (("", False), ("_extra_class", True)):
+            n_seen = k_cls - 1 if extra else k_cls
+            y_g, y_d = y_s % n_seen, y_real % n_seen
 
-        def dl_of(theta):
-            disc.set_param_vector(theta)
-            return discriminator_loss(disc, gen, x_real, y_real, t_s, y_s, z_s,
-                                      gp_w, eps).value
+            def gen_loss():
+                return generator_loss(gen, disc, t_s, y_g, z_s, t_h, z_h, lam, params,
+                                      centers_all, extra_class=extra,
+                                      norm_bounds=bounds_c)
 
-        fd = finite_diff_gradient(dl_of, theta_d0.copy(), 1e-6)
-        disc.set_param_vector(theta_d0)
-        record("discriminator_loss", relative_error(res_d.grad_disc, fd))
+            def disc_loss():
+                return discriminator_loss(disc, gen, x_real, y_d, t_s, y_g, z_s, gp_w,
+                                          eps, extra_class=extra, t_h=t_h, z_h=z_h)
+
+            record("generator_loss" + suffix, relative_error(
+                gen_loss().grad_gen, _param_fd(gen, lambda: gen_loss().value)))
+            record("discriminator_loss" + suffix, relative_error(
+                disc_loss().grad_disc, _param_fd(disc, lambda: disc_loss().value)))
 
     tolerances = {"lipschitz_penalty": TOL_PENALTY,
-                  "discriminator_loss": TOL_PENALTY}
+                  "discriminator_loss": TOL_PENALTY,
+                  "discriminator_loss_extra_class": TOL_PENALTY}
     report = GradReport()
     for name in sorted(worst):
         report.checks.append(CheckResult(name=name, max_rel_err=worst[name],

@@ -14,7 +14,7 @@ from .divergence import (DivergenceParams, batch_minmax_normalize,
                          minmax_gradient_scale)
 from .errors import InvalidInputError
 from .net import Discriminator, Generator, gradient_penalty
-from .numerics import RngStream, log_softmax, softmax, softmax_vjp
+from .numerics import RngStream, log_softmax, softmax_vjp
 
 ALPHA_MODES = ("uniform-0.2-0.8", "uniform-0-1", "fixed-0.5", "normal-0.5")
 
@@ -84,61 +84,38 @@ class LossResult:
     parts: dict = field(default_factory=dict)
 
 
-def creativity_loss(gen: Generator, disc: Discriminator, t_h: np.ndarray,
-                    z_h: np.ndarray, lam: float, div_params: DivergenceParams,
+def creativity_loss(logits: np.ndarray, lam: float, div_params: DivergenceParams,
                     norm_bounds: tuple[float, float] | None = None,
-                    extra_class: bool = False) -> LossResult:
-    """Realism-plus-entropy objective on hallucinated-descriptor generations.
+                    extra_class: bool = False):
+    """Creativity term on the class logits of hallucinated-descriptor rows.
 
-    value = -mean critic(G(t_h, z)) + lam * mean min-max-normalized entropy
-    loss of the seen-class softmax. Gradients flow to the generator and to
-    (gamma, beta); min/max of the normalization carry no gradient, and
+    value = lam * mean min-max-normalized entropy loss of the seen-class
+    softmax. Min/max of the normalization carry no gradient, and
     `norm_bounds` freezes them explicitly for finite-difference checking.
-
     With `extra_class`, the entropy term is replaced by cross-entropy toward
     a dedicated extra class (the last logit column), the ablation variant.
+
+    Returns (value, d value / d logits, (d/dgamma, d/dbeta), mean entropy
+    loss); the realness of the rows is the generator objective's part.
     """
-    t_h = np.atleast_2d(np.asarray(t_h, dtype=np.float64))
-    m = t_h.shape[0]
-    if m == 0:
+    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    n = logits.shape[0]
+    if n == 0:
         raise InvalidInputError("creativity loss needs a non-empty batch")
-    x_h, g_cache = gen.forward_cached(t_h, z_h)
-    (real, logits), d_cache = disc.forward_cached(x_h)
-    realness = -float(np.mean(real))
-    d_real = np.full(m, -1.0 / m)
-
-    grad_div = np.zeros(2)
     if lam == 0.0:
-        value = realness
-        d_logits = np.zeros_like(logits)
-        mean_entropy = 0.0
-        parts = {"realness": realness, "entropy": 0.0}
-    elif extra_class:
-        lsm = log_softmax(logits)
-        ce = -lsm[:, -1]
-        value = realness + lam * float(np.mean(ce))
-        target = np.zeros_like(logits)
-        target[:, -1] = 1.0
-        d_logits = lam / m * (softmax(logits) - target)
-        mean_entropy = float(np.mean(ce))
-        parts = {"realness": realness, "entropy": lam * float(np.mean(ce))}
-    else:
-        probs = softmax(logits)
-        e, de_dp, de_dg, de_db = entropy_loss_batch(probs, div_params)
-        bounds = minmax_bounds(e) if norm_bounds is None else norm_bounds
-        normalized = batch_minmax_normalize(e, bounds)
-        scale = minmax_gradient_scale(bounds)
-        value = realness + lam * float(np.mean(normalized))
-        d_logits = softmax_vjp(probs, (lam * scale / m) * de_dp)
-        grad_div = (lam * scale / m) * np.array([de_dg.sum(), de_db.sum()])
-        mean_entropy = float(np.mean(e))
-        parts = {"realness": realness, "entropy": lam * float(np.mean(normalized))}
-
-    _, d_x = disc.backward(d_cache, d_real, d_logits)
-    grad_gen, _, _ = gen.backward(g_cache, d_x)
-    return LossResult(value=value, grad_gen=grad_gen,
-                      grad_divergence=(float(grad_div[0]), float(grad_div[1])),
-                      parts={**parts, "mean_entropy": mean_entropy})
+        return 0.0, np.zeros_like(logits), (0.0, 0.0), 0.0
+    lsm = log_softmax(logits)
+    probs = np.exp(lsm)
+    if extra_class:
+        ce = float(np.mean(-lsm[:, -1]))
+        probs[:, -1] -= 1.0
+        return lam * ce, (lam / n) * probs, (0.0, 0.0), ce
+    e, de_dp, de_dg, de_db = entropy_loss_batch(probs, div_params)
+    bounds = minmax_bounds(e) if norm_bounds is None else norm_bounds
+    w = lam * minmax_gradient_scale(bounds) / n
+    value = lam * float(np.mean(batch_minmax_normalize(e, bounds)))
+    return (value, softmax_vjp(probs, w * de_dp),
+            (w * float(de_dg.sum()), w * float(de_db.sum())), float(np.mean(e)))
 
 
 def visual_pivot(x: np.ndarray, labels: np.ndarray, centers: np.ndarray):
@@ -166,35 +143,38 @@ def generator_loss(gen: Generator, disc: Discriminator, t_s: np.ndarray,
                    centers_by_class: np.ndarray, creativity_enabled: bool = True,
                    extra_class: bool = False,
                    norm_bounds: tuple[float, float] | None = None) -> LossResult:
-    """Full generator objective: creativity term plus seen-batch realism,
-    seen-batch classification (log softmax of the class head) and the visual
-    pivot, the last three computed on one shared forward pass.
+    """Full generator objective: seen-batch realism, seen-batch
+    classification (log softmax of the class head) and the visual pivot,
+    plus the creativity term (realness of the hallucinated rows and
+    `creativity_loss` of their logits).
 
-    `centers_by_class[k]` is the real feature mean of seen class k;
-    `y_s` holds 0-based class indices. With `creativity_enabled=False` the
-    creativity term is dropped entirely (the non-creative baseline).
+    The seen rows [t_s; z_s] and the hallucinated rows [t_h; z_h] go through
+    G and D as one stack, with one backward pass of row-sliced adjoints.
+    `centers_by_class[k]` is the real feature mean of seen class k; `y_s`
+    holds 0-based class indices. With `creativity_enabled=False` the
+    hallucinated rows and the creativity term are dropped entirely (the
+    non-creative baseline).
     """
     k_cls = disc.n_classes - (1 if extra_class else 0)
     y = _one_hot(y_s, k_cls)
-    t_s = np.atleast_2d(np.asarray(t_s, dtype=np.float64))
-    m = t_s.shape[0]
+    t = np.atleast_2d(np.asarray(t_s, dtype=np.float64))
+    z = np.atleast_2d(np.asarray(z_s, dtype=np.float64))
+    m = t.shape[0]
+    if creativity_enabled:
+        t = np.concatenate([t, np.atleast_2d(t_h)])
+        z = np.concatenate([z, np.atleast_2d(z_h)])
 
-    x_s, g_cache = gen.forward_cached(t_s, z_s)
-    (real, logits), d_cache = disc.forward_cached(x_s)
+    x, g_cache = gen.forward_cached(t, z)
+    (real, logits), d_cache = disc.forward_cached(x)
+    d_real = np.full(real.size, -1.0 / m)
+    d_logits = np.empty_like(logits)
 
-    realness = -float(np.mean(real))
-    d_real = np.full(m, -1.0 / m)
-
-    lsm = log_softmax(logits)
+    lsm = log_softmax(logits[:m])
     cls_term = -float(np.mean(np.sum(y * lsm[:, :k_cls], axis=1)))
-    probs = softmax(logits)
-    d_logits = probs / m
-    d_logits[:, :k_cls] -= y / m
-
-    pivot, d_x_pivot = visual_pivot(x_s, y_s, centers_by_class)
-
-    _, d_x = disc.backward(d_cache, d_real, d_logits)
-    grad_gen, _, _ = gen.backward(g_cache, d_x + d_x_pivot)
+    d_logits[:m] = np.exp(lsm) / m
+    d_logits[:m, :k_cls] -= y / m
+    realness = -float(np.mean(real[:m]))
+    pivot, d_x_pivot = visual_pivot(x[:m], y_s, centers_by_class)
 
     value = realness + cls_term + pivot
     grad_div = (0.0, 0.0)
@@ -202,14 +182,17 @@ def generator_loss(gen: Generator, disc: Discriminator, t_s: np.ndarray,
     parts = {"seen_realness": realness, "seen_classification": cls_term,
              "visual_pivot": pivot, "creativity": 0.0}
     if creativity_enabled:
-        c = creativity_loss(gen, disc, t_h, z_h, lam, div_params,
-                            norm_bounds=norm_bounds, extra_class=extra_class)
-        value += c.value
-        grad_gen = grad_gen + c.grad_gen
-        grad_div = c.grad_divergence
-        mean_entropy = c.parts["mean_entropy"]
-        parts["creativity"] = c.value
+        term, d_logits[m:], grad_div, mean_entropy = creativity_loss(
+            logits[m:], lam, div_params, norm_bounds=norm_bounds,
+            extra_class=extra_class)
+        d_real[m:] = -1.0 / (real.size - m)
+        parts["creativity"] = -float(np.mean(real[m:])) + term
+        value += parts["creativity"]
     parts["mean_entropy"] = mean_entropy
+
+    _, d_x = disc.backward(d_cache, d_real, d_logits)
+    d_x[:m] += d_x_pivot
+    grad_gen, _, _ = gen.backward(g_cache, d_x)
     return LossResult(value=value, grad_gen=grad_gen, grad_divergence=grad_div,
                       parts=parts)
 
@@ -257,10 +240,11 @@ def discriminator_loss(disc: Discriminator, gen: Generator, x_real: np.ndarray,
     if extra_class:
         target[2 * m:, -1] = 1.0
         row_scale[2 * m:] = 0.5 / n_h
-    ce = -np.sum(target * log_softmax(logits), axis=1)
+    lsm = log_softmax(logits)
+    ce = -np.sum(target * lsm, axis=1)
     cls_fake = 0.5 * float(np.mean(ce[:m]))
     cls_real = 0.5 * float(np.mean(ce[m:2 * m]))
-    d_logits = (softmax(logits) - target) * row_scale[:, None]
+    d_logits = (np.exp(lsm) - target) * row_scale[:, None]
     d_critic = np.concatenate([np.full(m, 1.0 / m), np.full(m, -1.0 / m), np.zeros(n_h)])
     grad, _ = disc.backward(cache, d_critic, d_logits)
 

@@ -21,6 +21,10 @@ from .numerics import RngStream
 ACTIVATIONS = ("identity", "relu", "leaky_relu", "sigmoid")
 _ACT_TAGS = {name: i for i, name in enumerate(ACTIVATIONS)}
 
+# negative-side slope of every hidden leaky-relu layer the builders make; the
+# generator's output layer is a relu (features are nonnegative)
+HIDDEN_SLOPE = 0.2
+
 
 def _act(name: str, z: np.ndarray, slope: float) -> np.ndarray:
     if name == "identity":
@@ -262,8 +266,6 @@ class GeneratorArch:
     output_dim: int
     embed_dim: int = 64
     hidden_dims: tuple[int, ...] = (128,)
-    hidden_slope: float = 0.2
-    output_activation: str = "relu"
 
     def validate(self) -> "GeneratorArch":
         dims = (self.text_dim, self.output_dim, self.embed_dim, *self.hidden_dims)
@@ -345,14 +347,14 @@ class Generator:
 def build_generator(arch: GeneratorArch, rng: RngStream) -> Generator:
     arch.validate()
     embed = MlpNetwork([glorot_layer(rng, arch.text_dim, arch.embed_dim,
-                                     "leaky_relu", arch.hidden_slope)])
+                                     "leaky_relu", HIDDEN_SLOPE)])
     dims = (arch.embed_dim + arch.noise_dim, *arch.hidden_dims, arch.output_dim)
     layers = []
     for i in range(len(dims) - 1):
         last = i == len(dims) - 2
         layers.append(glorot_layer(rng, dims[i], dims[i + 1],
-                                   arch.output_activation if last else "leaky_relu",
-                                   0.0 if last else arch.hidden_slope))
+                                   "relu" if last else "leaky_relu",
+                                   0.0 if last else HIDDEN_SLOPE))
     return Generator(embed=embed, trunk=MlpNetwork(layers), noise_dim=arch.noise_dim)
 
 
@@ -366,7 +368,6 @@ class DiscriminatorArch:
     input_dim: int
     n_classes: int
     hidden_dims: tuple[int, ...] = (128,)
-    hidden_slope: float = 0.2
 
     def validate(self) -> "DiscriminatorArch":
         if self.input_dim < 1 or any(d < 1 for d in self.hidden_dims):
@@ -430,7 +431,7 @@ class Discriminator:
 def build_discriminator(arch: DiscriminatorArch, rng: RngStream) -> Discriminator:
     arch.validate()
     dims = (arch.input_dim, *arch.hidden_dims)
-    layers = [glorot_layer(rng, dims[i], dims[i + 1], "leaky_relu", arch.hidden_slope)
+    layers = [glorot_layer(rng, dims[i], dims[i + 1], "leaky_relu", HIDDEN_SLOPE)
               for i in range(len(dims) - 1)]
     layers.append(glorot_layer(rng, dims[-1], 1 + arch.n_classes, "identity"))
     return Discriminator(net=MlpNetwork(layers), n_classes=arch.n_classes)

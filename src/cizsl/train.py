@@ -114,12 +114,6 @@ class TrainedModel:
     history: TrainingHistory
 
 
-def _tie_beta(params: DivergenceParams) -> DivergenceParams:
-    if params.mode == "tsallis":
-        return replace(params, beta=params.gamma)
-    return params
-
-
 def train(dataset: ZslDataset, config: TrainConfig,
           snapshot_fn=None) -> TrainedModel:
     """Run the full training procedure; deterministic given the seed.
@@ -203,7 +197,7 @@ def train(dataset: ZslDataset, config: TrainConfig,
             if u.size and use_creativity:
                 grad_u = div.learnable_gradient(*res_g.grad_divergence)
                 u, state_e = adam_step(u, grad_u, state_e)
-                div = _tie_beta(div.with_learnable_vector(u))
+                div = div.with_learnable_vector(u)
         except (InvalidInputError, FloatingPointError, OverflowError) as e:
             # all loop inputs are machine-generated, so a rejected value here
             # means the optimization blew up numerically

@@ -61,6 +61,38 @@ class TestTrainCommand:
         assert code == 1
         assert "bogus_field" in err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "n_steps", "5"),
+        ("train", "n_steps", 2.5),
+        ("train", "learning_rate", None),
+        ("train", "hidden_dim", [4]),
+        ("train", "n_critic", True),
+        ("train", "learn_gamma", "yes"),
+        ("eval", "retrieval_ratios", 0.5),
+        ("eval", "retrieval_ratios", [0.5, "1"]),
+        ("synthetic", "nonlinear", 1),
+    ])
+    def test_mistyped_field_exits_1_naming_it(self, tmp_path, capsys, section, key, value):
+        cfg = write_config(tmp_path / "cfg.json", **{section: {key: value}})
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg))
+        assert code == 1
+        assert f"{section}.{key}" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key,value", [("out_dir", 3), ("dataset", None)])
+    def test_non_string_path_exits_1(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "cfg.json", **{key: value})
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg))
+        assert code == 1
+        assert key in err
+
+    def test_int_accepted_for_float_and_list_for_tuple(self, tmp_path):
+        cfg = load_experiment_config(write_config(
+            tmp_path / "cfg.json", train={"learning_rate": 1},
+            eval={"retrieval_ratios": [1, 0.5]}))
+        assert type(cfg.train.learning_rate) is float
+        assert cfg.eval.retrieval_ratios == (1.0, 0.5)
+
     def test_not_json_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

@@ -72,6 +72,12 @@ class TestValues:
         with pytest.raises(InvalidConfigError):
             DivergenceParams(mode="bhattacharyya", learn_beta=True).validate()
 
+    def test_tsallis_learnable_vector_keeps_beta_tied(self):
+        ts = DivergenceParams(mode="tsallis", gamma=1.6, beta=1.6, learn_gamma=True)
+        moved = ts.with_learnable_vector(np.array([np.log(2.5)]))
+        assert moved.gamma == pytest.approx(2.5)
+        assert moved.beta == moved.gamma
+
 
 class TestLimitConsistency:
     """The guard strip dispatches to the analytic limit of each special case."""

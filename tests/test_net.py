@@ -238,8 +238,7 @@ class TestGradientPenalty:
     def test_one_hidden_layer_matches_finite_differences(self, seed):
         rng = RngStream(200 + seed, 0)
         disc = build_discriminator(DiscriminatorArch(input_dim=4, n_classes=3,
-                                                     hidden_dims=(6,),
-                                                     hidden_slope=0.2), rng)
+                                                     hidden_dims=(6,)), rng)
         x_hat = rng.normal((3, 4))
         _, analytic, _ = gradient_penalty(disc, x_hat)
         theta0 = disc.param_vector()
