@@ -2,9 +2,9 @@
 synthesis, nearest-center classification, the seen/unseen trade-off curve
 with its AUC, harmonic mean, and per-class retrieval precision.
 
-Accuracies are macro (per class, then averaged). Ties in nearest-center
-decisions go to the smaller class id; ties in retrieval distances go to the
-smaller instance index.
+Accuracies are macro (per class, then averaged). Equal computed distances go
+to the smaller class id (nearest center) or instance index (retrieval);
+identical centers can round an ulp apart and then do not tie.
 """
 from __future__ import annotations
 
@@ -60,24 +60,24 @@ def synthesize_centers(gen: Generator, descriptors: dict[int, np.ndarray],
                         source=f"generated({n})")
 
 
-# Byte budget of one row block of the l2 difference tensor (rows x K x D
-# float64); squaring it takes as much again.
-_L2_BLOCK_BYTES = 32 * 2**20
-
-
 def _distances(features: np.ndarray, centers: np.ndarray, metric: str) -> np.ndarray:
+    """N x K distances from one product `features @ centers.T` updated in place,
+    so memory is output-sized. l2 uses ||x||^2 - 2 x.c + ||c||^2: squared
+    distances within a few eps * (||x||^2 + ||c||^2) of the direct sum."""
+    if metric not in METRICS:
+        raise InvalidInputError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    out = features @ centers.T
+    f_sq = np.einsum("ij,ij->i", features, features)
+    c_sq = np.einsum("ij,ij->i", centers, centers)
     if metric == "l2":
-        out = np.empty((features.shape[0], centers.shape[0]))
-        rows = max(1, _L2_BLOCK_BYTES // max(1, 8 * centers.size))
-        for start in range(0, features.shape[0], rows):
-            diff = features[start:start + rows, None, :] - centers[None, :, :]
-            out[start:start + rows] = np.sqrt(np.sum(diff * diff, axis=2))
-        return out
-    if metric == "cosine":
-        fn = features / np.maximum(np.linalg.norm(features, axis=1, keepdims=True), 1e-12)
-        cn = centers / np.maximum(np.linalg.norm(centers, axis=1, keepdims=True), 1e-12)
-        return 1.0 - fn @ cn.T
-    raise InvalidInputError(f"unknown metric {metric!r}; expected one of {METRICS}")
+        out *= -2.0
+        out += f_sq[:, None]
+        out += c_sq
+        np.maximum(out, 0.0, out=out)
+        return np.sqrt(out, out=out)
+    out /= np.maximum(np.sqrt(f_sq), 1e-12)[:, None]
+    out /= np.maximum(np.sqrt(c_sq), 1e-12)
+    return np.subtract(1.0, out, out=out)
 
 
 def _class_positions(labels: np.ndarray, class_ids: np.ndarray) -> np.ndarray:
@@ -203,8 +203,8 @@ def retrieval_precision(features: np.ndarray, labels: np.ndarray,
                         metric: str = "l2") -> dict[float, float]:
     """Mean over unseen classes of precision at ceil(ratio * class size).
 
-    For each class, all test instances are ranked by distance to the class
-    center and the top ceil(ratio * n_c) are retrieved.
+    For each class, all test instances are ranked once by distance to the
+    class center and the top ceil(ratio * n_c) are retrieved for every ratio.
     """
     for ratio in ratios:
         if not valid_retrieval_ratio(ratio):
@@ -212,20 +212,18 @@ def retrieval_precision(features: np.ndarray, labels: np.ndarray,
                 f"eval.retrieval_ratios must be finite and > 0, got {ratio!r}")
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels)
-    d = _distances(features, unseen_centers.centers, metric)
-    out = {}
-    for ratio in ratios:
-        precisions = []
-        for j, cid in enumerate(unseen_centers.class_ids):
-            truth = labels == cid
-            n_c = int(truth.sum())
-            if n_c == 0:
-                raise InvalidInputError(f"unseen class {int(cid)} has no test instances")
+    d = _distances(features, unseen_centers.centers, metric).T
+    precisions = {float(ratio): [] for ratio in ratios}
+    for j, cid in enumerate(unseen_centers.class_ids):
+        truth = labels == cid
+        n_c = int(truth.sum())
+        if n_c == 0:
+            raise InvalidInputError(f"unseen class {int(cid)} has no test instances")
+        ranked = truth[np.argsort(d[j], kind="stable")]
+        for ratio, per_class in precisions.items():
             k = int(np.ceil(ratio * n_c))
-            top = np.argsort(d[:, j], kind="stable")[:k]
-            precisions.append(float(truth[top].sum()) / k)
-        out[float(ratio)] = float(np.mean(precisions))
-    return out
+            per_class.append(float(ranked[:k].sum()) / k)
+    return {ratio: float(np.mean(per_class)) for ratio, per_class in precisions.items()}
 
 
 # --------------------------------------------------------------------------

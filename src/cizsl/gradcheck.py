@@ -207,7 +207,8 @@ def run_gradient_contract(seed: int = 0, n_configs: int = 20) -> GradReport:
         # term's logits into G included) and critic loss incl. the penalty
         # (double backprop path); the extra-class variants fold the labels
         # into the first k_cls - 1 classes, so they draw nothing
-        bounds_c = _entropy_bounds(disc.forward(gen.forward(t_h, z_h))[1], params)
+        x_h = gen.forward(t_h, z_h)
+        bounds_c = _entropy_bounds(disc.forward(x_h)[1], params)
         y_s = rng.integers(0, k_cls, m)
         t_s = rng.normal((m, t_dim))
         z_s = rng.normal((m, z_dim))
@@ -227,7 +228,7 @@ def run_gradient_contract(seed: int = 0, n_configs: int = 20) -> GradReport:
 
             def disc_loss():
                 return discriminator_loss(disc, gen, x_real, y_d, t_s, y_g, z_s, gp_w,
-                                          eps, extra_class=extra, t_h=t_h, z_h=z_h)
+                                          eps, extra_class=extra, x_h=x_h)
 
             record("generator_loss" + suffix, relative_error(
                 gen_loss().grad_gen, _param_fd(gen, lambda: gen_loss().value)))

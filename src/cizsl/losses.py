@@ -200,17 +200,17 @@ def generator_loss(gen: Generator, disc: Discriminator, t_s: np.ndarray,
 def discriminator_loss(disc: Discriminator, gen: Generator, x_real: np.ndarray,
                        y_real: np.ndarray, t_s: np.ndarray, y_s: np.ndarray,
                        z: np.ndarray, gp_weight: float, gp_eps: np.ndarray,
-                       extra_class: bool = False, t_h: np.ndarray | None = None,
-                       z_h: np.ndarray | None = None) -> LossResult:
+                       extra_class: bool = False,
+                       x_h: np.ndarray | None = None) -> LossResult:
     """Critic objective: Wasserstein terms, Lipschitz penalty at per-row
     interpolates eps * real + (1 - eps) * fake, and the two halved
     classification terms on real and generated seen features.
 
     The critic runs one forward and one backward over the stacked rows
-    [fake; real]. With `extra_class`, the hallucinated rows join the stack
-    with a zero critic adjoint and a halved cross-entropy toward the extra
-    (last) class. Gradients are w.r.t. the discriminator only; the generator
-    is frozen.
+    [fake; real]. With `extra_class`, the generated hallucinated features
+    `x_h` join the stack with a zero critic adjoint and a halved
+    cross-entropy toward the extra (last) class. Gradients are w.r.t. the
+    discriminator only; the generator is frozen.
     """
     x_real = np.atleast_2d(np.asarray(x_real, dtype=np.float64))
     m = x_real.shape[0]
@@ -224,9 +224,9 @@ def discriminator_loss(disc: Discriminator, gen: Generator, x_real: np.ndarray,
             f"real batch {x_real.shape} and fake batch {x_fake.shape} misaligned")
     rows = [x_fake, x_real]
     if extra_class:
-        if t_h is None or z_h is None:
+        if x_h is None:
             raise InvalidInputError("extra-class ablation needs a hallucinated batch")
-        rows.append(np.atleast_2d(gen.forward(t_h, z_h)))
+        rows.append(np.atleast_2d(x_h))
     (critic, logits), cache = disc.forward_cached(np.concatenate(rows))
     n_h = critic.size - 2 * m
 

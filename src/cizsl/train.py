@@ -167,6 +167,7 @@ def train(dataset: ZslDataset, config: TrainConfig,
             t_h, _, _ = hallucinate_batch(seen_desc, shuffle_rng, alpha_rng,
                                           config.alpha_mode, m)
             z_h = noise_rng.normal((m, config.noise_dim))
+            x_h = gen.forward(t_h, z_h) if extra else None
 
             d_losses, gaps = [], []
             for _ in range(config.n_critic):
@@ -178,8 +179,7 @@ def train(dataset: ZslDataset, config: TrainConfig,
                 eps = gp_rng.uniform(0.0, 1.0, m)
                 res = discriminator_loss(disc, gen, x, y, t_s, y, z,
                                          config.gp_weight, eps, extra_class=extra,
-                                         t_h=t_h if extra else None,
-                                         z_h=z_h if extra else None)
+                                         x_h=x_h)
                 theta_d, state_d = adam_step(disc.params, res.grad_disc, state_d)
                 disc.set_param_vector(theta_d)
                 d_losses.append(res.value)

@@ -1,9 +1,9 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cizsl import evaluate
 from cizsl.errors import InvalidInputError
 from cizsl.evaluate import (ClassCenters, _distances, curve_csv, curve_svg, harmonic_mean,
                             retrieval_precision, seen_unseen_curve,
@@ -79,25 +79,32 @@ class TestClassCenters:
 
 
 class TestDistances:
+    @pytest.mark.parametrize("offset", [0.0, 10.0])
     @pytest.mark.parametrize("n,k,d", [(37, 5, 3), (203, 17, 300)])
-    def test_row_blocks_match_one_block(self, monkeypatch, n, k, d):
+    def test_match_direct_formulas(self, n, k, d, offset):
+        # l2 from the norm expansion stays within a few eps of
+        # ||x||^2 + ||c||^2 of the summed squared differences; cosine matches
+        # the formula over normalized copies of the rows. Rows equal to a
+        # center round to a slightly negative square unless it is clamped.
         rng = RngStream(18, 0)
-        feats, cents = rng.normal((n, d)), rng.normal((k, d))
-        whole = _distances(feats, cents, "l2")
-        for rows in (1, 3, n - 1):
-            monkeypatch.setattr(evaluate, "_L2_BLOCK_BYTES", rows * 8 * k * d)
-            np.testing.assert_array_equal(_distances(feats, cents, "l2"), whole)
-        monkeypatch.setattr(evaluate, "_L2_BLOCK_BYTES", 1)
-        np.testing.assert_array_equal(_distances(feats, cents, "l2"), whole)
+        feats, cents = rng.normal((n, d)) + offset, rng.normal((k, d)) + offset
+        feats = np.concatenate([feats, cents])
+        ref_sq = np.sum((feats[:, None] - cents[None]) ** 2, axis=2)
+        scale = np.sum(feats ** 2, axis=1)[:, None] + np.sum(cents ** 2, axis=1)[None, :]
+        assert np.all(np.abs(_distances(feats, cents, "l2") ** 2 - ref_sq) <= 1e-13 * scale)
+        fn = feats / np.maximum(np.linalg.norm(feats, axis=1, keepdims=True), 1e-12)
+        cn = cents / np.maximum(np.linalg.norm(cents, axis=1, keepdims=True), 1e-12)
+        np.testing.assert_allclose(_distances(feats, cents, "cosine"), 1.0 - fn @ cn.T,
+                                   rtol=0, atol=1e-14)
 
-    def test_row_blocks_bound_memory(self, monkeypatch):
-        # one block would be a 51.2 MB difference tensor; the output is 0.8 MB
+    @pytest.mark.parametrize("metric", ["l2", "cosine"])
+    def test_memory_is_output_sized(self, metric):
+        # the output is 0.8 MB; an N x K x D difference tensor would be 51.2 MB
         rng = RngStream(19, 0)
         feats, cents = rng.normal((2000, 64)), rng.normal((50, 64))
-        monkeypatch.setattr(evaluate, "_L2_BLOCK_BYTES", 2**20)
         tracemalloc.start()
         try:
-            _distances(feats, cents, "l2")
+            _distances(feats, cents, metric)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -333,6 +340,21 @@ class TestRetrieval:
         out = retrieval_precision(feats, np.where(labels == 1, 1, 99), centers,
                                   ratios=(1.0,))
         assert out[1.0] == pytest.approx(3.0 / 4.0)
+
+    def test_ties_and_duplicated_ratio_match_brute_force(self):
+        # rows at distance 1 or 2 from the center tie in two groups: the
+        # smaller instance index is retrieved first, and a repeated ratio is
+        # one entry scored from the same ranking
+        rng = RngStream(20, 0)
+        feats = ((2 * rng.integers(0, 2, 60) - 1) * rng.integers(1, 3, 60)).astype(float)
+        labels = np.where(feats > 0, 4, 99)
+        out = retrieval_precision(feats[:, None], labels, centers_of([4], [[0.0]]),
+                                  ratios=(0.5, 0.25, 0.5))
+        ranked = sorted(range(60), key=lambda i: (abs(feats[i]), i))
+        n_c = int(np.sum(labels == 4))
+        expected = [(r, sum(labels[i] == 4 for i in ranked[:math.ceil(r * n_c)])
+                     / math.ceil(r * n_c)) for r in (0.5, 0.25)]
+        assert list(out.items()) == expected
 
     def test_matches_brute_force(self):
         rng = RngStream(17, 0)

@@ -191,19 +191,18 @@ class TestGeneratorLoss:
         assert res.parts["creativity"] == 0.0
 
     def test_perfect_classifier_contributes_zero_classification_term(self):
+        # rig the class head to constant logits (+1e3 on class 0, -1e3
+        # elsewhere) and label every row 0: log softmax of the label is 0
         gen, disc = tiny_models()
-        t_s, y_s, z_s, t_h, z_h, centers = self.batch()
-        x = gen.forward(t_s, z_s)
-        # rig the class head so the correct logit dominates
-        feats, cache = disc.net.forward_cached(x)
+        t_s, _, z_s, t_h, z_h, centers = self.batch()
+        y_s = np.zeros(t_s.shape[0], dtype=int)
+        head = disc.net.layers[-1]
+        head.weight[1:] = 0.0
+        head.bias[1:] = -1e3
+        head.bias[1] = 1e3
         res = generator_loss(gen, disc, t_s, y_s, z_s, t_h, z_h, 0.0, SM,
                              centers, creativity_enabled=False)
-        # analytic check instead: with logits forced one-hot the term is -log 1 = 0
-        from cizsl.numerics import log_softmax
-        big = np.full((6, 3), -1e3)
-        big[np.arange(6), y_s] = 1e3
-        lsm = log_softmax(big)
-        assert float(np.mean(np.sum(np.eye(3)[y_s] * lsm, axis=1))) == pytest.approx(0.0)
+        assert res.parts["seen_classification"] == pytest.approx(0.0, abs=1e-12)
 
     def test_equals_separate_seen_and_hallucinated_passes(self):
         # the stacked pass computes what a seen-only pass plus a separate
@@ -336,13 +335,16 @@ class TestExtraClassAblation:
         t_s, z_s = rng.normal((m, 4)), rng.normal((m, 3))
         y = rng.integers(0, 3, m)
         x = rng.normal((m, 5))
+        x_h = gen.forward(t_h, z_h)
         res = discriminator_loss(disc, gen, x, y, t_s, y, z_s, 10.0,
                                  np.full(m, 0.5), extra_class=True,
-                                 t_h=t_h, z_h=z_h)
+                                 x_h=x_h)
         assert "cls_extra" in res.parts
-        _, logits_h = disc.forward(gen.forward(t_h, z_h))
+        _, logits_h = disc.forward(x_h)
         value, d_logits, grad_div, _ = creativity_loss(logits_h, 1.0, SM, extra_class=True)
         assert np.isfinite(value) and value > 0.0
+        # the critic's halved cross-entropy toward the extra class on x_h
+        assert res.parts["cls_extra"] == pytest.approx(0.5 * value, abs=1e-12)
         assert grad_div == (0.0, 0.0)
         # cross-entropy toward the last column: its adjoint is the only negative one
         assert np.all(d_logits[:, -1] < 0.0) and np.all(d_logits[:, :-1] > 0.0)
