@@ -161,8 +161,9 @@ def run_gradient_contract(seed: int = 0, n_configs: int = 20) -> GradReport:
 
         # penalty: value + parameter gradient
         x_hat = rng.normal((m, x_dim))
-        _, grad_pen, _ = gradient_penalty(disc, x_hat)
-        fd = _param_fd(disc, lambda: gradient_penalty(disc, x_hat)[0])
+        _, grad_pen, _ = gradient_penalty(disc, disc.net.forward_cached(x_hat)[1])
+        fd = _param_fd(disc, lambda: gradient_penalty(
+            disc, disc.net.forward_cached(x_hat)[1])[0])
         record("lipschitz_penalty", relative_error(grad_pen, fd))
 
         # creativity term w.r.t. its logits and (gamma, beta), bounds frozen
@@ -217,6 +218,7 @@ def run_gradient_contract(seed: int = 0, n_configs: int = 20) -> GradReport:
         y_real = rng.integers(0, k_cls, m)
         eps = rng.uniform(0.0, 1.0, m)
         gp_w = float(rng.uniform(0.5, 5.0))
+        x_fake = gen.forward(t_s, z_s)
         for suffix, extra in (("", False), ("_extra_class", True)):
             n_seen = k_cls - 1 if extra else k_cls
             y_g, y_d = y_s % n_seen, y_real % n_seen
@@ -227,8 +229,8 @@ def run_gradient_contract(seed: int = 0, n_configs: int = 20) -> GradReport:
                                       norm_bounds=bounds_c)
 
             def disc_loss():
-                return discriminator_loss(disc, gen, x_real, y_d, t_s, y_g, z_s, gp_w,
-                                          eps, extra_class=extra, x_h=x_h)
+                return discriminator_loss(disc, x_real, y_d, x_fake, y_g, gp_w, eps,
+                                          extra_class=extra, x_h=x_h)
 
             record("generator_loss" + suffix, relative_error(
                 gen_loss().grad_gen, _param_fd(gen, lambda: gen_loss().value)))

@@ -125,16 +125,12 @@ def visual_pivot(x: np.ndarray, labels: np.ndarray, centers: np.ndarray):
 
     Returns (value, d value / d x).
     """
-    labels = np.asarray(labels)
-    present = np.unique(labels)
-    value = 0.0
-    d_x = np.zeros_like(x)
-    for k in present:
-        sel = labels == k
-        diff = x[sel].mean(axis=0) - centers[k]
-        value += float(diff @ diff)
-        d_x[sel] = (2.0 / (present.size * sel.sum())) * diff
-    return value / present.size, d_x
+    present, inv, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    sums = np.zeros((present.size, x.shape[1]))
+    np.add.at(sums, inv, x)
+    diff = sums / counts[:, None] - centers[present]
+    d_x = (2.0 / (present.size * counts[inv]))[:, None] * diff[inv]
+    return float(np.sum(diff * diff)) / present.size, d_x
 
 
 def generator_loss(gen: Generator, disc: Discriminator, t_s: np.ndarray,
@@ -197,46 +193,47 @@ def generator_loss(gen: Generator, disc: Discriminator, t_s: np.ndarray,
                       parts=parts)
 
 
-def discriminator_loss(disc: Discriminator, gen: Generator, x_real: np.ndarray,
-                       y_real: np.ndarray, t_s: np.ndarray, y_s: np.ndarray,
-                       z: np.ndarray, gp_weight: float, gp_eps: np.ndarray,
-                       extra_class: bool = False,
+def discriminator_loss(disc: Discriminator, x_real: np.ndarray, y_real: np.ndarray,
+                       x_fake: np.ndarray, y_fake: np.ndarray, gp_weight: float,
+                       gp_eps: np.ndarray, extra_class: bool = False,
                        x_h: np.ndarray | None = None) -> LossResult:
     """Critic objective: Wasserstein terms, Lipschitz penalty at per-row
-    interpolates eps * real + (1 - eps) * fake, and the two halved
+    interpolates x_hat = eps * real + (1 - eps) * fake, and the two halved
     classification terms on real and generated seen features.
 
-    The critic runs one forward and one backward over the stacked rows
-    [fake; real]. With `extra_class`, the generated hallucinated features
-    `x_h` join the stack with a zero critic adjoint and a halved
-    cross-entropy toward the extra (last) class. Gradients are w.r.t. the
-    discriminator only; the generator is frozen.
+    The critic runs one forward over the stacked rows [fake; real; x_hat]:
+    the backward pass reads the cache's first rows and `gradient_penalty`
+    its x_hat rows. With `extra_class`, the generated hallucinated features
+    `x_h` join the stack before x_hat with a zero critic adjoint and a
+    halved cross-entropy toward the extra (last) class. Gradients are
+    w.r.t. the discriminator only; the generated rows are constants.
     """
     x_real = np.atleast_2d(np.asarray(x_real, dtype=np.float64))
+    x_fake = np.atleast_2d(np.asarray(x_fake, dtype=np.float64))
     m = x_real.shape[0]
     k_cls = disc.n_classes - (1 if extra_class else 0)
-    y = _one_hot(np.concatenate([y_s, y_real]), k_cls)
-    gp_eps = np.asarray(gp_eps, dtype=np.float64).reshape(m, 1)
-
-    x_fake = np.atleast_2d(gen.forward(t_s, z))
+    y = _one_hot(np.concatenate([y_fake, y_real]), k_cls)
     if x_fake.shape != x_real.shape or y.shape[0] != 2 * m:
         raise InvalidInputError(
             f"real batch {x_real.shape} and fake batch {x_fake.shape} misaligned")
+    gp_eps = np.asarray(gp_eps, dtype=np.float64).reshape(m, 1)
     rows = [x_fake, x_real]
     if extra_class:
         if x_h is None:
             raise InvalidInputError("extra-class ablation needs a hallucinated batch")
         rows.append(np.atleast_2d(x_h))
+    rows.append(gp_eps * x_real + (1.0 - gp_eps) * x_fake)
     (critic, logits), cache = disc.forward_cached(np.concatenate(rows))
-    n_h = critic.size - 2 * m
+    n = critic.size - m
+    n_h = n - 2 * m
+    critic, logits = critic[:n], logits[:n]
 
     wasserstein = float(np.mean(critic[:m]) - np.mean(critic[m:2 * m]))
-    x_hat = gp_eps * x_real + (1.0 - gp_eps) * x_fake
-    penalty, grad_penalty, _ = gradient_penalty(disc, x_hat)
+    penalty, grad_penalty, _ = gradient_penalty(disc, cache.rows(slice(n, None)))
 
     target = np.zeros_like(logits)
     target[:2 * m, :k_cls] = y
-    row_scale = np.full(critic.size, 0.5 / m)
+    row_scale = np.full(n, 0.5 / m)
     if extra_class:
         target[2 * m:, -1] = 1.0
         row_scale[2 * m:] = 0.5 / n_h
@@ -246,7 +243,7 @@ def discriminator_loss(disc: Discriminator, gen: Generator, x_real: np.ndarray,
     cls_real = 0.5 * float(np.mean(ce[m:2 * m]))
     d_logits = (np.exp(lsm) - target) * row_scale[:, None]
     d_critic = np.concatenate([np.full(m, 1.0 / m), np.full(m, -1.0 / m), np.zeros(n_h)])
-    grad, _ = disc.backward(cache, d_critic, d_logits)
+    grad, _ = disc.backward(cache.rows(slice(n)), d_critic, d_logits)
 
     value = wasserstein + gp_weight * penalty + cls_real + cls_fake
     parts = {"wasserstein_gap": -wasserstein, "penalty": penalty,

@@ -10,6 +10,7 @@ biases are views into it.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -18,52 +19,23 @@ import numpy as np
 from .errors import DatasetFormatError, InvalidInputError, InvalidStateError
 from .numerics import RngStream
 
-ACTIVATIONS = ("identity", "relu", "leaky_relu", "sigmoid")
-_ACT_TAGS = {name: i for i, name in enumerate(ACTIVATIONS)}
+ACTIVATIONS = ("identity", "relu", "leaky_relu")
 
 # negative-side slope of every hidden leaky-relu layer the builders make; the
 # generator's output layer is a relu (features are nonnegative)
 HIDDEN_SLOPE = 0.2
 
 
-def _act(name: str, z: np.ndarray, slope: float) -> np.ndarray:
+def _act(name: str, z: np.ndarray, slope: float):
+    """(activation, derivative) at the pre-activations `z`; every activation
+    is piecewise linear, and identity's derivative is the scalar 1."""
     if name == "identity":
-        return z
+        return z, 1.0
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0), (z > 0.0).astype(np.float64)
     if name == "leaky_relu":
-        return np.where(z > 0.0, z, slope * z)
-    if name == "sigmoid":
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
-    raise InvalidInputError(f"unknown activation {name!r}")
-
-
-def _act_d(name: str, z: np.ndarray, slope: float) -> np.ndarray:
-    if name == "identity":
-        return np.ones_like(z)
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    if name == "leaky_relu":
-        return np.where(z > 0.0, 1.0, slope)
-    if name == "sigmoid":
-        s = _act("sigmoid", z, slope)
-        return s * (1.0 - s)
-    raise InvalidInputError(f"unknown activation {name!r}")
-
-
-def _act_dd(name: str, z: np.ndarray, slope: float) -> np.ndarray:
-    # relu / leaky_relu second derivative is zero almost everywhere; the
-    # measure-zero kink is deliberately ignored (standard penalty practice).
-    if name in ("identity", "relu", "leaky_relu"):
-        return np.zeros_like(z)
-    if name == "sigmoid":
-        s = _act("sigmoid", z, slope)
-        return s * (1.0 - s) * (1.0 - 2.0 * s)
+        d = np.where(z > 0.0, 1.0, slope)
+        return d * z, d
     raise InvalidInputError(f"unknown activation {name!r}")
 
 
@@ -86,12 +58,22 @@ class Layer:
 
 @dataclass
 class MlpCache:
-    """Forward activations remembered for the backward pass."""
+    """Each layer's input `hs[i]` (the output last) and activation derivative
+    `ds[i]`, remembered for the backward and penalty sweeps."""
 
-    x: np.ndarray
-    zs: list[np.ndarray]
     hs: list[np.ndarray]
+    ds: list
     version: int
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.hs[0]
+
+    def rows(self, sel: slice) -> "MlpCache":
+        """The cache of the forward pass over the rows `sel` alone."""
+        return MlpCache(hs=[h[sel] for h in self.hs],
+                        ds=[d if np.isscalar(d) else d[sel] for d in self.ds],
+                        version=self.version)
 
 
 class MlpNetwork:
@@ -143,6 +125,10 @@ class MlpNetwork:
 
     def set_param_vector(self, theta: np.ndarray) -> None:
         _copy_params(self.params, theta, "network")
+        self.params_changed()
+
+    def params_changed(self) -> None:
+        """Record an in-place write to `params`: older forward caches go stale."""
         self._version += 1
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -155,20 +141,19 @@ class MlpNetwork:
         if h.shape[1] != self.in_dim:
             raise InvalidInputError(
                 f"input has dim {h.shape[1]}, network expects {self.in_dim}")
-        zs, hs = [], [h]
+        hs, ds = [h], []
         for l in self.layers:
-            z = h @ l.weight.T + l.bias
-            h = _act(l.activation, z, l.slope)
-            zs.append(z)
+            h, d = _act(l.activation, h @ l.weight.T + l.bias, l.slope)
             hs.append(h)
-        cache = MlpCache(x=hs[0], zs=zs, hs=hs, version=self._version)
+            ds.append(d)
+        cache = MlpCache(hs=hs, ds=ds, version=self._version)
         return (h[0] if squeeze else h), cache
 
     def _check_cache(self, cache: MlpCache) -> None:
         if cache.version != self._version:
             raise InvalidStateError(
                 "forward cache is stale: parameters changed since the forward pass")
-        if len(cache.zs) != len(self.layers):
+        if len(cache.ds) != len(self.layers):
             raise InvalidStateError("forward cache does not match this network")
 
     def backward(self, cache: MlpCache, d_out: np.ndarray,
@@ -186,11 +171,10 @@ class MlpNetwork:
         flat = np.empty(self.n_params) if out is None else out
         grads = self._views(flat)
         for i in range(len(self.layers) - 1, -1, -1):
-            l = self.layers[i]
-            dz = d * _act_d(l.activation, cache.zs[i], l.slope)
+            dz = d * cache.ds[i]
             np.matmul(dz.T, cache.hs[i], out=grads[i][0])
             dz.sum(axis=0, out=grads[i][1])
-            d = dz @ l.weight
+            d = dz @ self.layers[i].weight
         d_in = d[0] if np.asarray(d_out).ndim == 1 else d
         return flat, d_in
 
@@ -198,43 +182,32 @@ class MlpNetwork:
         """Per-row gradient of <select, output> w.r.t. the input rows."""
         self._check_cache(cache)
         u = np.broadcast_to(select, cache.hs[-1].shape)
-        for i in range(len(self.layers) - 1, -1, -1):
-            l = self.layers[i]
-            u = (u * _act_d(l.activation, cache.zs[i], l.slope)) @ l.weight
+        for l, d in zip(reversed(self.layers), reversed(cache.ds)):
+            u = (u * d) @ l.weight
         return u
 
     def grad_of_input_grad(self, cache: MlpCache, select: np.ndarray,
                            v: np.ndarray) -> np.ndarray:
         """Parameter gradient of sum_rows <v_row, d(<select, output>)/d input_row>.
 
-        Implements forward-over-reverse: the tangent pass pushes v through the
-        linearized network, then a reverse sweep accumulates adjoints of both
-        primal and tangent quantities. Second derivatives of the activations
-        enter through the primal adjoint; they vanish for piecewise-linear
-        activations and are exact for sigmoid.
+        Forward-over-reverse on a piecewise-linear network, whose activation
+        derivatives are locally constant: a tangent pass pushes v through the
+        linearized network, then each layer's weight gradient is the reverse
+        `select` adjoint at its pre-activation times its input tangent. The
+        bias gradient is zero.
         """
         self._check_cache(cache)
-        L = len(self.layers)
         h_dot = [np.atleast_2d(np.asarray(v, dtype=np.float64))]
-        z_dot = []
-        for i, l in enumerate(self.layers):
-            zd = h_dot[-1] @ l.weight.T
-            z_dot.append(zd)
-            h_dot.append(_act_d(l.activation, cache.zs[i], l.slope) * zd)
-        bar_hdot = np.broadcast_to(select, cache.hs[-1].shape).astype(np.float64)
-        bar_h = np.zeros_like(bar_hdot)
-        flat = np.empty(self.n_params)
+        for l, d in zip(self.layers[:-1], cache.ds):
+            h_dot.append(d * (h_dot[-1] @ l.weight.T))
+        flat = np.zeros(self.n_params)
         grads = self._views(flat)
-        for i in range(L - 1, -1, -1):
-            l = self.layers[i]
-            d1 = _act_d(l.activation, cache.zs[i], l.slope)
-            d2 = _act_dd(l.activation, cache.zs[i], l.slope)
-            bar_zdot = d1 * bar_hdot
-            bar_z = d2 * z_dot[i] * bar_hdot + d1 * bar_h
-            np.add(bar_zdot.T @ h_dot[i], bar_z.T @ cache.hs[i], out=grads[i][0])
-            bar_z.sum(axis=0, out=grads[i][1])
-            bar_hdot = bar_zdot @ l.weight
-            bar_h = bar_z @ l.weight
+        bar = np.broadcast_to(select, cache.hs[-1].shape)
+        for i in range(len(self.layers) - 1, -1, -1):
+            bar = bar * cache.ds[i]
+            np.matmul(bar.T, h_dot[i], out=grads[i][0])
+            if i:
+                bar = bar @ self.layers[i].weight
         return flat
 
 
@@ -313,8 +286,11 @@ class Generator:
 
     def set_param_vector(self, theta: np.ndarray) -> None:
         _copy_params(self.params, theta, "generator")
-        self.embed._version += 1
-        self.trunk._version += 1
+        self.params_changed()
+
+    def params_changed(self) -> None:
+        self.embed.params_changed()
+        self.trunk.params_changed()
 
     def forward(self, t: np.ndarray, z: np.ndarray) -> np.ndarray:
         return self.forward_cached(t, z)[0]
@@ -408,6 +384,9 @@ class Discriminator:
     def set_param_vector(self, theta: np.ndarray) -> None:
         self.net.set_param_vector(theta)
 
+    def params_changed(self) -> None:
+        self.net.params_changed()
+
     def forward(self, x: np.ndarray):
         return self.forward_cached(x)[0]
 
@@ -437,23 +416,21 @@ def build_discriminator(arch: DiscriminatorArch, rng: RngStream) -> Discriminato
     return Discriminator(net=MlpNetwork(layers), n_classes=arch.n_classes)
 
 
-def gradient_penalty(disc: Discriminator, x_hat: np.ndarray):
-    """Mean Lipschitz penalty (||grad_x critic||_2 - 1)^2 over rows of x_hat,
-    with its exact gradient w.r.t. the discriminator parameters.
+def gradient_penalty(disc: Discriminator, cache: MlpCache):
+    """Mean Lipschitz penalty (||grad_x critic||_2 - 1)^2 over the rows of a
+    critic forward cache, with its exact gradient w.r.t. the discriminator
+    parameters. The cache may be a row slice (`MlpCache.rows`) of a larger
+    stacked forward; a standalone caller passes `disc.net.forward_cached(x)[1]`.
 
     Returns (mean penalty, flat parameter gradient, per-row penalties).
     If a row's input gradient vanishes exactly, its penalty is 1 and the norm
     term's gradient is taken as zero there (documented subgradient choice).
     """
-    x = np.atleast_2d(np.asarray(x_hat, dtype=np.float64))
-    n = x.shape[0]
-    _, cache = disc.net.forward_cached(x)
     g = disc.net.input_grad_rows(cache, disc._real_select)
+    n = g.shape[0]
     norms = np.linalg.norm(g, axis=1)
     penalties = (norms - 1.0) ** 2
-    scale = np.zeros(n)
-    nonzero = norms > 0.0
-    scale[nonzero] = 2.0 * (norms[nonzero] - 1.0) / norms[nonzero] / n
+    scale = np.divide(2.0 * (norms - 1.0), norms, out=np.zeros(n), where=norms > 0.0) / n
     v = g * scale[:, None]
     grad = disc.net.grad_of_input_grad(cache, disc._real_select, v)
     return float(penalties.mean()), grad, penalties
@@ -462,8 +439,8 @@ def gradient_penalty(disc: Discriminator, x_hat: np.ndarray):
 # --------------------------------------------------------------------------
 # Checkpoint format: magic "CZSL", version u16, u32 network count, u32
 # generator noise dim, then per network a u32 layer count and per layer u32
-# in, u32 out, u8 activation tag, f64 slope; all parameters follow as
-# little-endian f64 in flat order.
+# in, u32 out, u8 activation tag (an index into ACTIVATIONS), f64 slope; all
+# parameters follow as little-endian f64 in flat order.
 # Networks are stored in the fixed order (generator embed, generator trunk,
 # discriminator), so the parameters are the generator's buffer followed by
 # the discriminator's.
@@ -477,7 +454,7 @@ def _net_header(net: MlpNetwork) -> bytes:
     parts = [struct.pack("<I", len(net.layers))]
     for l in net.layers:
         parts.append(struct.pack("<IIBd", l.weight.shape[1], l.weight.shape[0],
-                                 _ACT_TAGS[l.activation], l.slope))
+                                 ACTIVATIONS.index(l.activation), l.slope))
     return b"".join(parts)
 
 
@@ -515,7 +492,7 @@ def load_checkpoint(path) -> tuple[Generator, Discriminator]:
         if n_nets != 3:
             raise DatasetFormatError(f"expected 3 stored networks, found {n_nets}")
         (noise_dim,) = struct.unpack("<I", _read_exact(f, 4, "noise dim"))
-        nets = []
+        headers = []
         for _ in range(n_nets):
             (n_layers,) = struct.unpack("<I", _read_exact(f, 4, "layer count"))
             layers = []
@@ -524,17 +501,23 @@ def load_checkpoint(path) -> tuple[Generator, Discriminator]:
                     "<IIBd", _read_exact(f, 17, "layer header"))
                 if tag >= len(ACTIVATIONS):
                     raise DatasetFormatError(f"unknown activation tag {tag}")
-                layers.append(Layer(weight=np.zeros((out_dim, in_dim)),
-                                    bias=np.zeros(out_dim),
-                                    activation=ACTIVATIONS[tag], slope=slope))
-            nets.append(MlpNetwork(layers))
-        embed, trunk, d_net = nets
+                layers.append((in_dim, out_dim, tag, slope))
+            headers.append(layers)
+        # allocate nothing before the headers agree with the file's size
+        n_params = sum(o * (i + 1) for net in headers for i, o, _, _ in net)
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if left != 8 * n_params:
+            raise DatasetFormatError(
+                f"checkpoint {'truncated' if left < 8 * n_params else 'has trailing bytes'}"
+                f": headers declare {n_params} parameters ({8 * n_params} bytes), "
+                f"{left} bytes follow them")
+        embed, trunk, d_net = (
+            MlpNetwork([Layer(weight=np.zeros((o, i)), bias=np.zeros(o),
+                              activation=ACTIVATIONS[tag], slope=slope)
+                        for i, o, tag, slope in net]) for net in headers)
         gen = Generator(embed=embed, trunk=trunk, noise_dim=noise_dim)
         disc = Discriminator(net=d_net, n_classes=d_net.out_dim - 1)
         for model in (gen, disc):
             raw = _read_exact(f, 8 * model.n_params, "parameters")
             model.params[...] = np.frombuffer(raw, dtype="<f8")
-        trailing = f.read(1)
-        if trailing:
-            raise DatasetFormatError("checkpoint has trailing bytes")
     return gen, disc

@@ -7,7 +7,7 @@ bit-identical outputs, on any thread.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -114,7 +114,7 @@ def softmax_vjp(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
     return probs * (d_probs - inner)
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
     """Adam moments plus hyperparameters (defaults lr 0.001, betas 0.5/0.9)."""
 
@@ -133,22 +133,31 @@ def adam_init(n_params: int, lr: float = 0.001, beta1: float = 0.5,
                      lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(params: np.ndarray, grad: np.ndarray,
-              state: AdamState) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns the new parameters and state."""
-    params = np.asarray(params, dtype=np.float64)
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update, in place on the float64 array `params`
+    and on `state`; it rounds exactly as the textbook formula."""
     grad = np.asarray(grad, dtype=np.float64)
+    if not (isinstance(params, np.ndarray) and params.dtype == np.float64):
+        raise InvalidInputError("adam_step updates a float64 array in place")
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise InvalidInputError(
             f"adam_step length mismatch: params {params.shape}, grad {grad.shape}, "
             f"moments {state.m.shape}")
-    t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new_params, replace(state, m=m, v=v, step=t)
+    state.step += 1
+    # two scratch arrays, each operation rounded as in the textbook formula
+    tmp = (1.0 - state.beta1) * grad
+    state.m *= state.beta1
+    state.m += tmp
+    np.multiply(grad, 1.0 - state.beta2, out=tmp)
+    tmp *= grad
+    state.v *= state.beta2
+    state.v += tmp
+    np.sqrt(np.divide(state.v, 1.0 - state.beta2 ** state.step, out=tmp), out=tmp)
+    tmp += state.eps
+    step = state.m / (1.0 - state.beta1 ** state.step)
+    step *= state.lr
+    step /= tmp
+    params -= step
 
 
 def finite_diff_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,

@@ -167,21 +167,26 @@ def train(dataset: ZslDataset, config: TrainConfig,
             t_h, _, _ = hallucinate_batch(seen_desc, shuffle_rng, alpha_rng,
                                           config.alpha_mode, m)
             z_h = noise_rng.normal((m, config.noise_dim))
-            x_h = gen.forward(t_h, z_h) if extra else None
+            # every critic step's draws at once, in each stream's order
+            idx = shuffle_rng.integers(0, x_pool.shape[0], (config.n_critic, m))
+            z = noise_rng.normal((config.n_critic * m, config.noise_dim))
+            eps = gp_rng.uniform(0.0, 1.0, (config.n_critic, m))
+            # G is frozen in the critic loop: one pass for all its fake rows
+            y = y_pool[idx]
+            t = seen_desc[y.ravel()]
+            if extra:
+                t, z = np.concatenate([t, t_h]), np.concatenate([z, z_h])
+            x_gen = gen.forward(t, z)
+            x_h = x_gen[config.n_critic * m:] if extra else None
 
             d_losses, gaps = [], []
-            for _ in range(config.n_critic):
-                idx = shuffle_rng.integers(0, x_pool.shape[0], m)
-                x = x_pool[idx]
-                y = y_pool[idx]
-                t_s = seen_desc[y]
-                z = noise_rng.normal((m, config.noise_dim))
-                eps = gp_rng.uniform(0.0, 1.0, m)
-                res = discriminator_loss(disc, gen, x, y, t_s, y, z,
-                                         config.gp_weight, eps, extra_class=extra,
+            for k in range(config.n_critic):
+                res = discriminator_loss(disc, x_pool[idx[k]], y[k],
+                                         x_gen[k * m:(k + 1) * m], y[k],
+                                         config.gp_weight, eps[k], extra_class=extra,
                                          x_h=x_h)
-                theta_d, state_d = adam_step(disc.params, res.grad_disc, state_d)
-                disc.set_param_vector(theta_d)
+                adam_step(disc.params, res.grad_disc, state_d)
+                disc.params_changed()
                 d_losses.append(res.value)
                 gaps.append(res.parts["wasserstein_gap"])
 
@@ -191,12 +196,12 @@ def train(dataset: ZslDataset, config: TrainConfig,
             res_g = generator_loss(gen, disc, t_g, y_g, z_g, t_h, z_h,
                                    config.lambda_creativity, div, centers,
                                    creativity_enabled=use_creativity, extra_class=extra)
-            theta_g, state_g = adam_step(gen.params, res_g.grad_gen, state_g)
-            gen.set_param_vector(theta_g)
+            adam_step(gen.params, res_g.grad_gen, state_g)
+            gen.params_changed()
 
             if u.size and use_creativity:
                 grad_u = div.learnable_gradient(*res_g.grad_divergence)
-                u, state_e = adam_step(u, grad_u, state_e)
+                adam_step(u, grad_u, state_e)
                 div = div.with_learnable_vector(u)
         except (InvalidInputError, FloatingPointError, OverflowError) as e:
             # all loop inputs are machine-generated, so a rejected value here

@@ -209,6 +209,19 @@ class TestEvalCommands:
         assert code == 1
         assert "match" in err
 
+    def test_sigmoid_tag_checkpoint_exits_1(self, trained_run, capsys, tmp_path):
+        # activation tag 3 (a sigmoid layer) is no longer supported
+        cfg_path, ckpt, _ = trained_run
+        raw = bytearray(ckpt.read_bytes())
+        raw[26] = 3  # the embed layer's tag, after the file and layer headers
+        bad = tmp_path / "sigmoid.czsl"
+        bad.write_bytes(bytes(raw))
+        capsys.readouterr()
+        code, _, err = run_cli(capsys, "eval", "--config", str(cfg_path),
+                               "--checkpoint", str(bad))
+        assert code == 1
+        assert "activation tag 3" in err
+
 
 class TestRetrieveCommand:
     def make_exact_setup(self, tmp_path):

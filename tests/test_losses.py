@@ -9,7 +9,8 @@ from cizsl.losses import (ALPHA_MODES, creativity_loss, discriminator_loss,
                           generator_loss, hallucinate_batch, interpolate_texts,
                           sample_alpha, visual_pivot)
 from cizsl.net import (DiscriminatorArch, Discriminator, Generator, GeneratorArch,
-                       Layer, MlpNetwork, build_discriminator, build_generator)
+                       Layer, MlpNetwork, build_discriminator, build_generator,
+                       gradient_penalty)
 from cizsl.numerics import RngStream, finite_diff_gradient, relative_error
 
 SM = DivergenceParams(mode="sharma-mittal", gamma=1.8, beta=0.4)
@@ -155,6 +156,25 @@ class TestVisualPivot:
             x.ravel().copy(), 1e-5)
         assert relative_error(d_x.ravel(), fd) < 1e-4
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_class_loop(self, seed):
+        rng = RngStream(60 + seed, 1)
+        m, k, d = 32, 24, 48
+        x = rng.normal((m, d))
+        labels = rng.integers(0, k, m)
+        centers = rng.normal((k, d))
+        present = np.unique(labels)
+        ref_value, ref_d_x = 0.0, np.zeros_like(x)
+        for c in present:
+            sel = labels == c
+            diff = x[sel].mean(axis=0) - centers[c]
+            ref_value += float(diff @ diff)
+            ref_d_x[sel] = (2.0 / (present.size * sel.sum())) * diff
+        value, d_x = visual_pivot(x, labels, centers)
+        # the value sums the classes in another order; the gradient does not
+        assert value == pytest.approx(ref_value / present.size, rel=1e-14)
+        np.testing.assert_array_equal(d_x, ref_d_x)
+
     def test_only_present_classes_count(self):
         # class 1 has no rows: it neither adds a term nor divides the mean
         centers = np.array([[0.0], [100.0], [1.0]])
@@ -283,7 +303,7 @@ class TestDiscriminatorLoss:
         t_s = np.zeros((m, 2))
         z = np.zeros((m, 2))
         eps = np.full(m, 0.3)
-        res = discriminator_loss(disc, gen, x_real, y, t_s, y, z,
+        res = discriminator_loss(disc, x_real, y, gen.forward(t_s, z), y,
                                  gp_weight=10.0, gp_eps=eps)
         assert res.value == pytest.approx(math.log(k), abs=1e-12)
         assert res.parts["penalty"] == pytest.approx(0.0, abs=1e-15)
@@ -301,18 +321,39 @@ class TestDiscriminatorLoss:
         m = 6
         x_real = np.tile(const, (m, 1))
         y = rng.integers(0, k, m)
-        res = discriminator_loss(disc, gen, x_real, y, np.zeros((m, 2)), y,
-                                 np.zeros((m, 2)), gp_weight=0.0,
+        x_fake = gen.forward(np.zeros((m, 2)), np.zeros((m, 2)))
+        res = discriminator_loss(disc, x_real, y, x_fake, y, gp_weight=0.0,
                                  gp_eps=np.full(m, 0.5))
         assert res.parts["wasserstein_gap"] == pytest.approx(0.0, abs=1e-12)
 
     def test_misaligned_batches_rejected(self):
-        gen, disc = tiny_models()
+        _, disc = tiny_models()
         rng = RngStream(10, 0)
         with pytest.raises(InvalidInputError):
-            discriminator_loss(disc, gen, rng.normal((4, 5)), np.zeros(4, dtype=int),
-                               rng.normal((3, 4)), np.zeros(3, dtype=int),
-                               rng.normal((3, 3)), 10.0, np.full(4, 0.5))
+            discriminator_loss(disc, rng.normal((4, 5)), np.zeros(4, dtype=int),
+                               rng.normal((3, 5)), np.zeros(3, dtype=int),
+                               10.0, np.full(4, 0.5))
+
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_penalty_equals_fresh_forward_over_interpolates(self, extra):
+        # the penalty reads the x_hat rows of the loss's stacked forward
+        gen, disc = tiny_models(k_cls=4)
+        rng = RngStream(12, 0)
+        m = 6
+        x_real, x_fake = rng.normal((m, 5)), rng.normal((m, 5))
+        y = rng.integers(0, 3, m)
+        eps = rng.uniform(0.0, 1.0, m)
+        x_h = gen.forward(rng.normal((m, 4)), rng.normal((m, 3))) if extra else None
+
+        def loss(w):
+            return discriminator_loss(disc, x_real, y, x_fake, y, w, eps,
+                                      extra_class=extra, x_h=x_h)
+
+        x_hat = eps[:, None] * x_real + (1.0 - eps[:, None]) * x_fake
+        value, grad, _ = gradient_penalty(disc, disc.net.forward_cached(x_hat)[1])
+        assert abs(loss(3.0).parts["penalty"] - value) <= 1e-12
+        np.testing.assert_allclose(loss(3.0).grad_disc - loss(0.0).grad_disc,
+                                   3.0 * grad, rtol=0, atol=1e-12)
 
     def test_gradient_including_penalty_matches_finite_differences(self):
         from cizsl.gradcheck import run_gradient_contract
@@ -336,9 +377,8 @@ class TestExtraClassAblation:
         y = rng.integers(0, 3, m)
         x = rng.normal((m, 5))
         x_h = gen.forward(t_h, z_h)
-        res = discriminator_loss(disc, gen, x, y, t_s, y, z_s, 10.0,
-                                 np.full(m, 0.5), extra_class=True,
-                                 x_h=x_h)
+        res = discriminator_loss(disc, x, y, gen.forward(t_s, z_s), y, 10.0,
+                                 np.full(m, 0.5), extra_class=True, x_h=x_h)
         assert "cls_extra" in res.parts
         _, logits_h = disc.forward(x_h)
         value, d_logits, grad_div, _ = creativity_loss(logits_h, 1.0, SM, extra_class=True)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,17 @@ from cizsl.errors import DatasetFormatError, InvalidInputError, InvalidStateErro
 from cizsl.net import (DiscriminatorArch, Discriminator, Generator, GeneratorArch,
                        Layer, MlpNetwork, build_discriminator, build_generator,
                        gradient_penalty, load_checkpoint, save_checkpoint)
-from cizsl.numerics import RngStream, finite_diff_gradient, relative_error
+from cizsl.numerics import (RngStream, adam_init, adam_step, finite_diff_gradient,
+                            relative_error)
 
 
 def leaky(z, slope=0.2):
     return np.where(z > 0, z, slope * z)
+
+
+def penalty_of_rows(disc, x_hat):
+    """`gradient_penalty` of a fresh critic forward over `x_hat` alone."""
+    return gradient_penalty(disc, disc.net.forward_cached(x_hat)[1])
 
 
 class TestForward:
@@ -128,6 +136,18 @@ class TestParamVector:
         with pytest.raises(InvalidStateError):
             gen.trunk.backward(cache.trunk, np.zeros((2, 3)))
 
+    def test_adam_step_invalidates_critic_cache(self):
+        rng = RngStream(36, 0)
+        disc = build_discriminator(DiscriminatorArch(input_dim=3, n_classes=2), rng)
+        x = rng.normal((4, 3))
+        _, cache = disc.forward_cached(x)
+        adam_step(disc.params, rng.normal(disc.n_params), adam_init(disc.n_params))
+        disc.params_changed()
+        with pytest.raises(InvalidStateError):
+            disc.backward(cache, np.zeros(4), np.zeros((4, 2)))
+        _, fresh = disc.forward_cached(x)
+        disc.backward(fresh, np.zeros(4), np.zeros((4, 2)))
+
     def test_wrong_length_rejected(self):
         rng = RngStream(1, 0)
         disc = build_discriminator(DiscriminatorArch(input_dim=3, n_classes=2), rng)
@@ -164,7 +184,7 @@ class TestBackward:
         rng = RngStream(100 + seed, 0)
         net = MlpNetwork([
             Layer(rng.normal((6, 4)), rng.normal(6), "leaky_relu", 0.2),
-            Layer(rng.normal((5, 6)), rng.normal(5), "sigmoid"),
+            Layer(rng.normal((5, 6)), rng.normal(5), "relu"),
             Layer(rng.normal((3, 5)), rng.normal(3), "identity"),
         ])
         x = rng.normal(4)
@@ -215,14 +235,14 @@ class TestGradientPenalty:
 
     def test_unit_norm_critic_has_zero_penalty_and_gradient(self):
         disc = self.d_linear([0.6, 0.8])
-        penalty, grad, _ = gradient_penalty(disc, np.array([3.0, -1.0])[None])
+        penalty, grad, _ = penalty_of_rows(disc, np.array([3.0, -1.0])[None])
         assert penalty == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_allclose(grad, np.zeros(disc.n_params), atol=1e-12)
 
     def test_symbolic_gradient_for_linear_critic(self):
         # ||grad|| = 5, penalty (5-1)^2 = 16, d/dw = 2*4*w/5
         disc = self.d_linear([3.0, 4.0])
-        penalty, grad, _ = gradient_penalty(disc, np.array([0.0, 0.0])[None])
+        penalty, grad, _ = penalty_of_rows(disc, np.array([0.0, 0.0])[None])
         assert penalty == pytest.approx(16.0)
         np.testing.assert_allclose(grad[:2], [4.8, 6.4], atol=1e-12)
         # bias and class-head rows receive nothing
@@ -230,7 +250,7 @@ class TestGradientPenalty:
 
     def test_zero_gradient_input_documented_subgradient(self):
         disc = self.d_linear([0.0, 0.0])
-        penalty, grad, _ = gradient_penalty(disc, np.array([1.0, 1.0])[None])
+        penalty, grad, _ = penalty_of_rows(disc, np.array([1.0, 1.0])[None])
         assert penalty == pytest.approx(1.0)
         np.testing.assert_array_equal(grad, np.zeros(disc.n_params))
 
@@ -240,35 +260,40 @@ class TestGradientPenalty:
         disc = build_discriminator(DiscriminatorArch(input_dim=4, n_classes=3,
                                                      hidden_dims=(6,)), rng)
         x_hat = rng.normal((3, 4))
-        _, analytic, _ = gradient_penalty(disc, x_hat)
+        _, analytic, _ = penalty_of_rows(disc, x_hat)
         theta0 = disc.param_vector()
 
         def f(theta):
             disc.set_param_vector(theta)
-            val, _, _ = gradient_penalty(disc, x_hat)
+            val, _, _ = penalty_of_rows(disc, x_hat)
             return val
 
         fd = finite_diff_gradient(f, theta0.copy(), 1e-5)
         disc.set_param_vector(theta0)
         assert relative_error(analytic, fd) < 1e-3
 
-    def test_sigmoid_second_derivative_path(self):
-        rng = RngStream(300, 0)
-        disc = Discriminator(MlpNetwork([
-            Layer(rng.normal((5, 3)), rng.normal(5), "sigmoid"),
-            Layer(rng.normal((3, 5)), rng.normal(3), "identity"),
-        ]), n_classes=2)
-        x_hat = rng.normal((2, 3))
-        _, analytic, _ = gradient_penalty(disc, x_hat)
-        theta0 = disc.param_vector()
 
-        def f(theta):
-            disc.set_param_vector(theta)
-            return gradient_penalty(disc, x_hat)[0]
-
-        fd = finite_diff_gradient(f, theta0.copy(), 1e-5)
-        disc.set_param_vector(theta0)
-        assert relative_error(analytic, fd) < 1e-4
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stacked_cache_slice_matches_fresh_forward(self, seed):
+        # the critic loss's one forward stacks [fake; real; x_h; x_hat]; the
+        # penalty on its x_hat rows must be the penalty of x_hat alone
+        rng = RngStream(400 + seed, 0)
+        disc = build_discriminator(DiscriminatorArch(input_dim=6, n_classes=5,
+                                                     hidden_dims=(9,)), rng)
+        disc.set_param_vector(0.5 * rng.normal(disc.n_params))
+        m = 7
+        fake, real, x_h = rng.normal((m, 6)), rng.normal((m, 6)), rng.normal((m, 6))
+        eps = rng.uniform(0.0, 1.0, (m, 1))
+        x_hat = eps * real + (1.0 - eps) * fake
+        _, cache = disc.forward_cached(np.concatenate([fake, real, x_h, x_hat]))
+        value, grad, rows = gradient_penalty(disc, cache.rows(slice(3 * m, None)))
+        value_1, grad_1, rows_1 = penalty_of_rows(disc, x_hat)
+        assert abs(value - value_1) <= 1e-12
+        np.testing.assert_allclose(grad, grad_1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rows, rows_1, rtol=0, atol=1e-12)
+        # piecewise-linear layers: the input gradient has no bias dependence
+        for _, b in disc.net._views(grad):
+            np.testing.assert_array_equal(b, 0.0)
 
 
 class TestCheckpoint:
@@ -309,3 +334,49 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(DatasetFormatError, match="version"):
             load_checkpoint(path)
+
+    def saved(self, tmp_path):
+        rng = RngStream(57, 0)
+        gen = build_generator(GeneratorArch(text_dim=3, noise_dim=2, output_dim=4,
+                                            embed_dim=3, hidden_dims=(5,)), rng)
+        disc = build_discriminator(DiscriminatorArch(input_dim=4, n_classes=2), rng)
+        path = tmp_path / "model.czsl"
+        save_checkpoint(path, gen, disc)
+        return path
+
+    def test_sigmoid_tag_rejected(self, tmp_path):
+        # tag 3 was a sigmoid layer; only piecewise-linear layers are supported
+        path = self.saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        # magic, version, network count, noise dim, layer count, in, out
+        assert raw[26] == 2  # the embed layer is a leaky relu
+        raw[26] = 3
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DatasetFormatError, match="tag 3"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", ["drop", "append"])
+    def test_parameter_bytes_must_match_headers(self, tmp_path, edit):
+        path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8] if edit == "drop" else raw + bytes(8))
+        with pytest.raises(DatasetFormatError,
+                           match="truncated" if edit == "drop" else "trailing"):
+            load_checkpoint(path)
+
+    def test_oversized_headers_rejected_before_allocating(self, tmp_path):
+        # 90 bytes whose headers declare three 3000 x 3000 layers (216 MB)
+        header = b"CZSL" + (1).to_bytes(2, "little") + (3).to_bytes(4, "little") \
+            + (0).to_bytes(4, "little")
+        layer = (1).to_bytes(4, "little") + (3000).to_bytes(4, "little") \
+            + (3000).to_bytes(4, "little") + bytes([0]) + bytes(8)
+        path = tmp_path / "huge.czsl"
+        path.write_bytes((header + 3 * layer).ljust(90, b"\0"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DatasetFormatError, match="truncated"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -1,14 +1,19 @@
 import dataclasses
+import importlib
 import os
 
 import numpy as np
 import pytest
 
 from cizsl.data import SyntheticConfig, make_synthetic
-from cizsl.errors import (InvalidConfigError, InvalidSplitError,
+from cizsl.errors import (InvalidConfigError, InvalidSplitError, InvalidStateError,
                           TrainingDivergedError)
+from cizsl.net import Generator, MlpNetwork
 from cizsl.train import (TrainConfig, cross_validate_lambda, select_best_lambda,
                          train, validation_auc)
+
+# the module, which the package's `train` function shadows as an attribute
+cizsl_train = importlib.import_module("cizsl.train")
 
 
 def tiny_dataset(seed=3, **kw):
@@ -125,6 +130,60 @@ class TestTrain:
         ds = tiny_dataset()
         model = train(ds, tiny_config(n_steps=5, extra_class_for_hallucinated=True))
         assert model.discriminator.n_classes == ds.seen_class_ids.size + 1
+
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_network_passes_per_iteration(self, monkeypatch, extra):
+        # per iteration: one generator pass for all n_critic fake batches
+        # (and the extra-class rows), one in the generator loss; one critic
+        # forward per critic loss, the penalty's included
+        built, critic_fwd, gen_fwd, per_loss = [], [0], [0], []
+        build = cizsl_train.build_discriminator
+        monkeypatch.setattr(cizsl_train, "build_discriminator",
+                            lambda *a: built.append(build(*a)) or built[-1])
+        net_forward = MlpNetwork.forward_cached
+
+        def counted_net_forward(self, x):
+            critic_fwd[0] += self is built[0].net
+            return net_forward(self, x)
+
+        gen_forward = Generator.forward_cached
+
+        def counted_gen_forward(self, t, z):
+            gen_fwd[0] += 1
+            return gen_forward(self, t, z)
+
+        loss = cizsl_train.discriminator_loss
+
+        def counted_loss(*args, **kwargs):
+            before = critic_fwd[0]
+            result = loss(*args, **kwargs)
+            per_loss.append(critic_fwd[0] - before)
+            return result
+
+        monkeypatch.setattr(MlpNetwork, "forward_cached", counted_net_forward)
+        monkeypatch.setattr(Generator, "forward_cached", counted_gen_forward)
+        monkeypatch.setattr(cizsl_train, "discriminator_loss", counted_loss)
+        train(tiny_dataset(), tiny_config(n_steps=3, n_critic=5,
+                                          extra_class_for_hallucinated=extra))
+        assert per_loss == [1] * 15
+        assert gen_fwd[0] == 2 * 3
+
+    def test_critic_steps_invalidate_earlier_caches(self, monkeypatch):
+        # Adam updates the critic in place; a cache from before must go stale
+        caches = []
+        loss = cizsl_train.discriminator_loss
+
+        def checked_loss(disc, x_real, *args, **kwargs):
+            if caches:
+                with pytest.raises(InvalidStateError):
+                    disc.net.backward(caches[-1], np.zeros((x_real.shape[0],
+                                                            disc.net.out_dim)))
+            caches.append(disc.net.forward_cached(x_real)[1])
+            return loss(disc, x_real, *args, **kwargs)
+
+        monkeypatch.setattr(cizsl_train, "discriminator_loss", checked_loss)
+        train(tiny_dataset(), tiny_config(n_steps=2, n_critic=3))
+        assert len(caches) == 6
 
     def test_wasserstein_gap_decreases_from_step_10(self):
         # pinned-seed regression on the 2-seen-class benchmark
