@@ -9,6 +9,7 @@ blob (one class id per feature row). Round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -163,12 +164,15 @@ def read_blob(path, dtype: str) -> np.ndarray:
         if version != BLOB_VERSION:
             raise DatasetFormatError(
                 f"unsupported blob version {version} in {path.name}")
-        payload = f.read()
-    expected = rows * cols * np.dtype(dtype).itemsize
-    if len(payload) != expected:
+        expected = rows * cols * np.dtype(dtype).itemsize
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size == expected:
+            out = np.empty((rows, cols), dtype=dtype)
+            size = f.readinto(out)
+    if size != expected:
         raise DatasetFormatError(
-            f"blob {path.name} payload is {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype=dtype).reshape(rows, cols).copy()
+            f"blob {path.name} payload is {size} bytes, expected {expected}")
+    return out
 
 
 def save_dataset(dataset: ZslDataset, manifest_path) -> None:

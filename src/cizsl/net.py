@@ -26,17 +26,23 @@ ACTIVATIONS = ("identity", "relu", "leaky_relu")
 HIDDEN_SLOPE = 0.2
 
 
-def _act(name: str, z: np.ndarray, slope: float):
-    """(activation, derivative) at the pre-activations `z`; every activation
-    is piecewise linear, and identity's derivative is the scalar 1."""
+def _act(name: str, z: np.ndarray, slope: float) -> np.ndarray:
     if name == "identity":
-        return z, 1.0
+        return z
     if name == "relu":
-        return np.maximum(z, 0.0), (z > 0.0).astype(np.float64)
+        return np.maximum(z, 0.0)
     if name == "leaky_relu":
-        d = np.where(z > 0.0, 1.0, slope)
-        return d * z, d
+        return np.where(z > 0.0, z, slope * z)
     raise InvalidInputError(f"unknown activation {name!r}")
+
+
+def _act_d(name: str, z: np.ndarray, slope: float):
+    """Derivative at `z` (identity's is the scalar 1); it is all the sweeps need."""
+    if name == "identity":
+        return 1.0
+    if name == "relu":
+        return (z > 0.0).astype(np.float64)
+    return np.where(z > 0.0, 1.0, slope)
 
 
 @dataclass
@@ -58,12 +64,13 @@ class Layer:
 
 @dataclass
 class MlpCache:
-    """Each layer's input `hs[i]` (the output last) and activation derivative
-    `ds[i]`, remembered for the backward and penalty sweeps."""
+    """Each layer's input `hs[i]` (the output last) and pre-activation `zs[i]`;
+    the sweeps share the activation derivatives `ds`, computed on first use."""
 
     hs: list[np.ndarray]
-    ds: list
+    zs: list[np.ndarray]
     version: int
+    ds: list | None = None
 
     @property
     def x(self) -> np.ndarray:
@@ -71,8 +78,7 @@ class MlpCache:
 
     def rows(self, sel: slice) -> "MlpCache":
         """The cache of the forward pass over the rows `sel` alone."""
-        return MlpCache(hs=[h[sel] for h in self.hs],
-                        ds=[d if np.isscalar(d) else d[sel] for d in self.ds],
+        return MlpCache(hs=[h[sel] for h in self.hs], zs=[z[sel] for z in self.zs],
                         version=self.version)
 
 
@@ -141,20 +147,25 @@ class MlpNetwork:
         if h.shape[1] != self.in_dim:
             raise InvalidInputError(
                 f"input has dim {h.shape[1]}, network expects {self.in_dim}")
-        hs, ds = [h], []
+        hs, zs = [h], []
         for l in self.layers:
-            h, d = _act(l.activation, h @ l.weight.T + l.bias, l.slope)
+            zs.append(h @ l.weight.T + l.bias)
+            h = _act(l.activation, zs[-1], l.slope)
             hs.append(h)
-            ds.append(d)
-        cache = MlpCache(hs=hs, ds=ds, version=self._version)
+        cache = MlpCache(hs=hs, zs=zs, version=self._version)
         return (h[0] if squeeze else h), cache
 
-    def _check_cache(self, cache: MlpCache) -> None:
+    def _derivatives(self, cache: MlpCache) -> list:
+        """The activation derivatives of a current cache of this network."""
         if cache.version != self._version:
             raise InvalidStateError(
                 "forward cache is stale: parameters changed since the forward pass")
-        if len(cache.ds) != len(self.layers):
+        if len(cache.zs) != len(self.layers):
             raise InvalidStateError("forward cache does not match this network")
+        if cache.ds is None:
+            cache.ds = [_act_d(l.activation, z, l.slope)
+                        for l, z in zip(self.layers, cache.zs)]
+        return cache.ds
 
     def backward(self, cache: MlpCache, d_out: np.ndarray,
                  out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +173,7 @@ class MlpNetwork:
 
         The parameter gradient is written into `out` when given.
         """
-        self._check_cache(cache)
+        ds = self._derivatives(cache)
         d = np.atleast_2d(np.asarray(d_out, dtype=np.float64))
         if d.shape != cache.hs[-1].shape:
             raise InvalidStateError(
@@ -171,7 +182,7 @@ class MlpNetwork:
         flat = np.empty(self.n_params) if out is None else out
         grads = self._views(flat)
         for i in range(len(self.layers) - 1, -1, -1):
-            dz = d * cache.ds[i]
+            dz = d * ds[i]
             np.matmul(dz.T, cache.hs[i], out=grads[i][0])
             dz.sum(axis=0, out=grads[i][1])
             d = dz @ self.layers[i].weight
@@ -180,9 +191,9 @@ class MlpNetwork:
 
     def input_grad_rows(self, cache: MlpCache, select: np.ndarray) -> np.ndarray:
         """Per-row gradient of <select, output> w.r.t. the input rows."""
-        self._check_cache(cache)
+        ds = self._derivatives(cache)
         u = np.broadcast_to(select, cache.hs[-1].shape)
-        for l, d in zip(reversed(self.layers), reversed(cache.ds)):
+        for l, d in zip(reversed(self.layers), reversed(ds)):
             u = (u * d) @ l.weight
         return u
 
@@ -190,21 +201,20 @@ class MlpNetwork:
                            v: np.ndarray) -> np.ndarray:
         """Parameter gradient of sum_rows <v_row, d(<select, output>)/d input_row>.
 
-        Forward-over-reverse on a piecewise-linear network, whose activation
-        derivatives are locally constant: a tangent pass pushes v through the
-        linearized network, then each layer's weight gradient is the reverse
-        `select` adjoint at its pre-activation times its input tangent. The
-        bias gradient is zero.
+        Forward-over-reverse on a piecewise-linear network: a tangent pass
+        pushes v through the linearized network; each layer's weight gradient
+        is the reverse `select` adjoint at its pre-activation times its input
+        tangent, and its bias gradient is zero.
         """
-        self._check_cache(cache)
+        ds = self._derivatives(cache)
         h_dot = [np.atleast_2d(np.asarray(v, dtype=np.float64))]
-        for l, d in zip(self.layers[:-1], cache.ds):
+        for l, d in zip(self.layers[:-1], ds):
             h_dot.append(d * (h_dot[-1] @ l.weight.T))
         flat = np.zeros(self.n_params)
         grads = self._views(flat)
         bar = np.broadcast_to(select, cache.hs[-1].shape)
         for i in range(len(self.layers) - 1, -1, -1):
-            bar = bar * cache.ds[i]
+            bar = bar * ds[i]
             np.matmul(bar.T, h_dot[i], out=grads[i][0])
             if i:
                 bar = bar @ self.layers[i].weight
@@ -251,7 +261,6 @@ class GeneratorArch:
 class GeneratorCache:
     embed: MlpCache
     trunk: MlpCache
-    n_rows: int
 
 
 class Generator:
@@ -306,7 +315,7 @@ class Generator:
         e, e_cache = self.embed.forward_cached(t2)
         h = np.concatenate([e, z2], axis=1)
         x, t_cache = self.trunk.forward_cached(h)
-        cache = GeneratorCache(embed=e_cache, trunk=t_cache, n_rows=t2.shape[0])
+        cache = GeneratorCache(embed=e_cache, trunk=t_cache)
         return (x[0] if squeeze else x), cache
 
     def backward(self, cache: GeneratorCache, d_out: np.ndarray):
@@ -384,9 +393,6 @@ class Discriminator:
     def set_param_vector(self, theta: np.ndarray) -> None:
         self.net.set_param_vector(theta)
 
-    def params_changed(self) -> None:
-        self.net.params_changed()
-
     def forward(self, x: np.ndarray):
         return self.forward_cached(x)[0]
 
@@ -427,10 +433,10 @@ def gradient_penalty(disc: Discriminator, cache: MlpCache):
     term's gradient is taken as zero there (documented subgradient choice).
     """
     g = disc.net.input_grad_rows(cache, disc._real_select)
-    n = g.shape[0]
     norms = np.linalg.norm(g, axis=1)
     penalties = (norms - 1.0) ** 2
-    scale = np.divide(2.0 * (norms - 1.0), norms, out=np.zeros(n), where=norms > 0.0) / n
+    scale = np.divide(2.0 * (norms - 1.0), norms, out=np.zeros_like(norms),
+                      where=norms > 0.0) / norms.size
     v = g * scale[:, None]
     grad = disc.net.grad_of_input_grad(cache, disc._real_select, v)
     return float(penalties.mean()), grad, penalties
@@ -508,9 +514,8 @@ def load_checkpoint(path) -> tuple[Generator, Discriminator]:
         left = os.fstat(f.fileno()).st_size - f.tell()
         if left != 8 * n_params:
             raise DatasetFormatError(
-                f"checkpoint {'truncated' if left < 8 * n_params else 'has trailing bytes'}"
-                f": headers declare {n_params} parameters ({8 * n_params} bytes), "
-                f"{left} bytes follow them")
+                f"checkpoint {'truncated' if left < 8 * n_params else 'has trailing bytes'}:"
+                f" headers declare {8 * n_params} parameter bytes, {left} follow them")
         embed, trunk, d_net = (
             MlpNetwork([Layer(weight=np.zeros((o, i)), bias=np.zeros(o),
                               activation=ACTIVATIONS[tag], slope=slope)

@@ -135,7 +135,7 @@ def adam_init(n_params: int, lr: float = 0.001, beta1: float = 0.5,
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update, in place on the float64 array `params`
-    and on `state`; it rounds exactly as the textbook formula."""
+    and on the moments and step count in `state`."""
     grad = np.asarray(grad, dtype=np.float64)
     if not (isinstance(params, np.ndarray) and params.dtype == np.float64):
         raise InvalidInputError("adam_step updates a float64 array in place")
@@ -144,20 +144,13 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
             f"adam_step length mismatch: params {params.shape}, grad {grad.shape}, "
             f"moments {state.m.shape}")
     state.step += 1
-    # two scratch arrays, each operation rounded as in the textbook formula
-    tmp = (1.0 - state.beta1) * grad
     state.m *= state.beta1
-    state.m += tmp
-    np.multiply(grad, 1.0 - state.beta2, out=tmp)
-    tmp *= grad
+    state.m += (1.0 - state.beta1) * grad
     state.v *= state.beta2
-    state.v += tmp
-    np.sqrt(np.divide(state.v, 1.0 - state.beta2 ** state.step, out=tmp), out=tmp)
-    tmp += state.eps
-    step = state.m / (1.0 - state.beta1 ** state.step)
-    step *= state.lr
-    step /= tmp
-    params -= step
+    state.v += (1.0 - state.beta2) * grad * grad
+    m_hat = state.m / (1.0 - state.beta1 ** state.step)
+    v_hat = state.v / (1.0 - state.beta2 ** state.step)
+    params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 def finite_diff_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,

@@ -186,7 +186,7 @@ def train(dataset: ZslDataset, config: TrainConfig,
                                          config.gp_weight, eps[k], extra_class=extra,
                                          x_h=x_h)
                 adam_step(disc.params, res.grad_disc, state_d)
-                disc.params_changed()
+                disc.net.params_changed()
                 d_losses.append(res.value)
                 gaps.append(res.parts["wasserstein_gap"])
 

@@ -1,4 +1,6 @@
 import json
+import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +43,28 @@ class TestBlobIO:
         p.write_bytes(bytes(raw))
         with pytest.raises(DatasetFormatError, match="version"):
             read_blob(p, "<f8")
+
+    @pytest.mark.parametrize("edit", ["drop", "append"])
+    def test_payload_must_match_header(self, tmp_path, edit):
+        p = tmp_path / "a.czfd"
+        write_blob(p, np.ones((4, 3)), "<f8")
+        raw = p.read_bytes()
+        p.write_bytes(raw[:-8] if edit == "drop" else raw + bytes(8))
+        with pytest.raises(DatasetFormatError, match="payload is"):
+            read_blob(p, "<f8")
+
+    def test_oversized_header_rejected_before_allocating(self, tmp_path):
+        # a 14-byte file whose header declares a 4e9 x 4e9 float64 payload
+        p = tmp_path / "huge.czfd"
+        p.write_bytes(b"CZFD" + struct.pack("<HII", 1, 4_000_000_000, 4_000_000_000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DatasetFormatError, match="payload is 0 bytes"):
+                read_blob(p, "<f8")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_missing_blob(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="missing blob"):

@@ -142,7 +142,7 @@ class TestParamVector:
         x = rng.normal((4, 3))
         _, cache = disc.forward_cached(x)
         adam_step(disc.params, rng.normal(disc.n_params), adam_init(disc.n_params))
-        disc.params_changed()
+        disc.net.params_changed()
         with pytest.raises(InvalidStateError):
             disc.backward(cache, np.zeros(4), np.zeros((4, 2)))
         _, fresh = disc.forward_cached(x)
