@@ -37,7 +37,8 @@ def _act(name: str, z: np.ndarray, slope: float) -> np.ndarray:
 
 
 def _act_d(name: str, z: np.ndarray, slope: float):
-    """Derivative at `z` (identity's is the scalar 1); it is all the sweeps need."""
+    """Derivative at `z` (identity's is the scalar 1). Every activation is
+    piecewise linear, so no sweep needs a second derivative."""
     if name == "identity":
         return 1.0
     if name == "relu":
@@ -201,10 +202,10 @@ class MlpNetwork:
                            v: np.ndarray) -> np.ndarray:
         """Parameter gradient of sum_rows <v_row, d(<select, output>)/d input_row>.
 
-        Forward-over-reverse on a piecewise-linear network: a tangent pass
-        pushes v through the linearized network; each layer's weight gradient
-        is the reverse `select` adjoint at its pre-activation times its input
-        tangent, and its bias gradient is zero.
+        Forward-over-reverse on a piecewise-linear network (its measure-zero
+        kinks ignored): a tangent pass pushes v through the linearized network;
+        each layer's weight gradient is the reverse `select` adjoint at its
+        pre-activation times its input tangent, and its bias gradient is zero.
         """
         ds = self._derivatives(cache)
         h_dot = [np.atleast_2d(np.asarray(v, dtype=np.float64))]
