@@ -21,8 +21,7 @@ import numpy as np
 
 from .data import SyntheticConfig, class_means, load_dataset, make_synthetic, save_dataset
 from .errors import (CizslError, DatasetFormatError, InvalidConfigError,
-                     InvalidInputError, InvalidSplitError, OracleFailureError,
-                     TrainingDivergedError)
+                     InvalidInputError, InvalidSplitError)
 from .evaluate import (ClassCenters, curve_csv, curve_svg, harmonic_mean,
                        retrieval_precision, seen_unseen_curve, synthesize_centers,
                        valid_retrieval_ratio)
@@ -31,8 +30,9 @@ from .net import load_checkpoint, save_checkpoint
 from .numerics import RngStream, STREAM_EVAL
 from .train import TrainConfig, cross_validate_lambda, train
 
+# exit 1; every other package error, and numpy's FloatingPointError, exits 2
 _INPUT_ERRORS = (InvalidConfigError, InvalidInputError, InvalidSplitError,
-                 DatasetFormatError)
+                 DatasetFormatError, OSError)
 
 
 def _fmt(x: float) -> str:
@@ -54,7 +54,6 @@ def _float_list(text: str, flag: str) -> list[float]:
 class EvalOptions:
     samples_per_center: int = 60
     metric: str = "l2"
-    calibration_points: int = 201
     retrieval_ratios: tuple[float, ...] = (0.25, 0.5, 1.0)
 
     def validate(self) -> "EvalOptions":
@@ -62,8 +61,6 @@ class EvalOptions:
             raise InvalidConfigError("eval.samples_per_center must be >= 1")
         if self.metric not in ("l2", "cosine"):
             raise InvalidConfigError(f"eval.metric must be l2 or cosine, got {self.metric!r}")
-        if self.calibration_points < 3:
-            raise InvalidConfigError("eval.calibration_points must be >= 3")
         ratios = self.retrieval_ratios
         if not (isinstance(ratios, (tuple, list)) and ratios
                 and all(valid_retrieval_ratio(r) for r in ratios)):
@@ -99,14 +96,17 @@ class ExperimentConfig:
 
 def _typed(value, hint, name: str):
     """A JSON value as the annotated field type: ints pass for floats (but
-    bools for neither), lists become tuples of numbers; anything else that
-    does not match raises InvalidConfigError naming the field."""
+    bools for neither), floats must be finite (JSON readers accept NaN and
+    Infinity), lists become tuples of numbers; anything else that does not
+    match raises InvalidConfigError naming the field."""
     if typing.get_origin(hint) is tuple:
         if isinstance(value, list):
             return tuple(_typed(v, typing.get_args(hint)[0], name) for v in value)
         raise InvalidConfigError(f"{name} must be a list of numbers, got {value!r}")
     if hint is float and type(value) is int:
         return float(value)
+    if hint is float and type(value) is float and not math.isfinite(value):
+        raise InvalidConfigError(f"{name} must be a finite number, got {value!r}")
     if isinstance(value, hint) and not (isinstance(value, bool) and hint is not bool):
         return value
     raise InvalidConfigError(f"{name} must be of type {hint.__name__}, got {value!r}")
@@ -121,18 +121,6 @@ def _build_section(cls, raw: dict, section: str):
             raise InvalidConfigError(f"unknown field {section}.{key!r}")
     return cls(**{key: _typed(value, hints[key], f"{section}.{key}")
                   for key, value in raw.items()})
-
-
-def default_config_dict() -> dict:
-    cfg = ExperimentConfig(synthetic=SyntheticConfig())
-    out = {
-        "synthetic": dataclasses.asdict(cfg.synthetic),
-        "train": dataclasses.asdict(cfg.train),
-        "eval": dataclasses.asdict(cfg.eval),
-        "out_dir": cfg.out_dir,
-    }
-    out["eval"]["retrieval_ratios"] = list(cfg.eval.retrieval_ratios)
-    return out
 
 
 def load_experiment_config(path, seed: int | None = None,
@@ -173,17 +161,11 @@ def load_experiment_config(path, seed: int | None = None,
 
 
 def _config_snapshot(cfg: ExperimentConfig) -> str:
-    out = {
-        "train": dataclasses.asdict(cfg.train),
-        "eval": {**dataclasses.asdict(cfg.eval),
-                 "retrieval_ratios": list(cfg.eval.retrieval_ratios)},
-        "out_dir": cfg.out_dir,
-    }
-    if cfg.dataset_path is not None:
-        out["dataset"] = cfg.dataset_path
-    if cfg.synthetic is not None:
-        out["synthetic"] = dataclasses.asdict(cfg.synthetic)
-    return json.dumps(out, indent=1, sort_keys=True) + "\n"
+    """The config in the file format, unset sections left out."""
+    out = dataclasses.asdict(cfg)
+    out["dataset"] = out.pop("dataset_path")
+    return json.dumps({key: value for key, value in out.items() if value is not None},
+                      indent=1, sort_keys=True) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -244,8 +226,7 @@ def cmd_eval(args) -> int:
     seen_centers = ClassCenters(class_ids=seen_ids,
                                 centers=class_means(dataset, seen_ids))
     curve = seen_unseen_curve(dataset.features, dataset.labels, seen_centers,
-                              unseen_centers, metric=cfg.eval.metric,
-                              n_points=cfg.eval.calibration_points)
+                              unseen_centers, metric=cfg.eval.metric)
     # the +inf anchor predicts every row unseen: zero-shot top-1
     top1 = float(curve.unseen_acc[-1])
     h = harmonic_mean(*curve.at_zero)
@@ -277,7 +258,7 @@ def cmd_retrieve(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.example_config:
-        print(json.dumps(default_config_dict(), indent=1, sort_keys=True))
+        print(_config_snapshot(ExperimentConfig(synthetic=SyntheticConfig())), end="")
         return 0
     if not args.config or not args.out:
         raise InvalidConfigError("synth requires --config and --out (or --example-config)")
@@ -374,15 +355,9 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except TrainingDivergedError as e:
+    except (CizslError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (OracleFailureError, CizslError, FloatingPointError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

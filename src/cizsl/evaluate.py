@@ -87,13 +87,14 @@ def _class_positions(labels: np.ndarray, class_ids: np.ndarray) -> np.ndarray:
                     np.searchsorted(class_ids, labels), class_ids.size)
 
 
-def _macro_accuracy(hits: np.ndarray, positions: np.ndarray, n_classes: int) -> float:
-    """Mean over classes of the per-class hit rate; classes without rows are
-    skipped and rows at position `n_classes` count for no class."""
-    counts = np.bincount(positions, minlength=n_classes + 1)[:n_classes]
-    hit_counts = np.bincount(positions, weights=hits, minlength=n_classes + 1)[:n_classes]
+def _macro_accuracy(hit_counts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean over classes with rows of the per-class hit rate, one value per
+    leading row of `hit_counts`. The rates are C-contiguous, so each row is
+    averaged as a 1-D array would be: equal counts give bit-equal values."""
     present = counts > 0
-    return float(np.mean(hit_counts[present] / counts[present]))
+    rates = np.compress(present, hit_counts, axis=-1)
+    rates /= counts[present]
+    return np.mean(rates, axis=-1)
 
 
 def zsl_top1(features: np.ndarray, labels: np.ndarray, centers: ClassCenters,
@@ -108,18 +109,19 @@ def zsl_top1(features: np.ndarray, labels: np.ndarray, centers: ClassCenters,
         raise InvalidInputError(f"test labels without centers: {sorted(missing)}")
     d = _distances(features, centers.centers, metric)
     hits = centers.class_ids[np.argmin(d, axis=1)] == labels
-    class_ids = np.unique(labels)
-    return _macro_accuracy(hits, _class_positions(labels, class_ids), class_ids.size)
+    _, positions = np.unique(labels, return_inverse=True)
+    return float(_macro_accuracy(np.bincount(positions, weights=hits), np.bincount(positions)))
 
 
 @dataclass
 class SeenUnseenCurve:
     """Accuracy trade-off swept by a calibration bias on seen-class scores.
 
-    Points are (calibration, seen accuracy, unseen accuracy) sorted by
-    calibration, including the two infinite anchors; `auc` integrates seen
-    accuracy (y) over unseen accuracy (x) by trapezoid. `at_zero` is the
-    (seen, unseen) pair without calibration.
+    Points are the curve's vertices (calibration, seen accuracy, unseen
+    accuracy) by calibration, from the -inf anchor (all rows predicted seen)
+    to the +inf anchor (all unseen), so `auc`, the trapezoid of seen (y)
+    over unseen (x) accuracy, is the exact area. `at_zero` is the (seen,
+    unseen) pair without calibration.
     """
 
     calibrations: np.ndarray
@@ -140,48 +142,70 @@ def trapezoid_auc(x: np.ndarray, y: np.ndarray) -> float:
 
 def seen_unseen_curve(features: np.ndarray, labels: np.ndarray,
                       seen_centers: ClassCenters, unseen_centers: ClassCenters,
-                      metric: str = "l2", n_points: int = 201) -> SeenUnseenCurve:
-    """Sweep the calibration bias and record the (seen, unseen) accuracy pair.
+                      metric: str = "l2") -> SeenUnseenCurve:
+    """The exact seen/unseen curve (Chao et al. 2016) and its area.
 
     One distance matrix over all centers gives each row its nearest seen
-    class at distance d_s and its nearest unseen class at d_u. At
-    calibration c a row predicts its seen class iff d_s + c <= d_u, which is
-    subtracting c from the seen classes' negated-distance scores with the
-    seen side winning an exact tie. The grid of `n_points` spans the largest
-    per-row |d_u - d_s|, so it covers every decision flip; the -inf
-    (everything seen) and +inf (everything unseen) anchors are the same
-    decision. Rows labelled with neither population are ignored.
+    class at distance d_s and its nearest unseen class at d_u (ties to the
+    smaller id). At calibration c a row predicts its seen class iff
+    c <= d_u - d_s. Each group of rows with equal thresholds moves the curve
+    down (seen hits lost), right (unseen hits gained), both, or not at all;
+    the vertices are the anchors and the points where that kind changes or
+    a diagonal move starts or ends, each at the threshold of the move that
+    leaves it. Accuracies come from integer per-class hit counts, so row
+    order does not matter; memory beyond the distance matrix is
+    O(N + vertices * classes). Rows of neither population are ignored.
     """
-    if n_points < 3:
-        raise InvalidInputError(f"eval.calibration_points must be >= 3, got {n_points}")
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels)
-    seen_ids = seen_centers.class_ids
-    unseen_ids = unseen_centers.class_ids
-    n_seen, n_unseen = seen_ids.size, unseen_ids.size
+    seen_ids, unseen_ids = seen_centers.class_ids, unseen_centers.class_ids
+    n_seen = seen_ids.size
+    if np.intersect1d(seen_ids, unseen_ids).size:
+        raise InvalidInputError("seen and unseen class ids must be disjoint")
     seen_pos = _class_positions(labels, seen_ids)
     unseen_pos = _class_positions(labels, unseen_ids)
-    if np.all(seen_pos == n_seen) or np.all(unseen_pos == n_unseen):
+    is_seen = seen_pos < n_seen
+    if not (is_seen.any() and (unseen_pos < unseen_ids.size).any()):
         raise InvalidInputError("need test instances from both populations")
+    # one count column per class, seen then unseen, and a last one that no
+    # accuracy reads for rows of neither population
+    col = np.where(is_seen, seen_pos, n_seen + unseen_pos)
+    n_cols = n_seen + unseen_ids.size + 1
 
     d = _distances(features, np.concatenate([seen_centers.centers,
                                              unseen_centers.centers]), metric)
-    d_s, d_u = d[:, :n_seen].min(axis=1), d[:, n_seen:].min(axis=1)
     seen_hit = seen_ids[d[:, :n_seen].argmin(axis=1)] == labels
     unseen_hit = unseen_ids[d[:, n_seen:].argmin(axis=1)] == labels
+    thresholds, group = np.unique(d[:, n_seen:].min(axis=1) - d[:, :n_seen].min(axis=1),
+                                  return_inverse=True)
+    del d  # the sweep needs O(N + vertices * classes) memory
+    # state j has the first j groups flipped to unseen. Ids are disjoint, so
+    # a flip can only lose a seen hit (down) or gain an unseen hit (right):
+    # kind 1, 2, or 3 for both
+    kind = (np.bincount(group, weights=seen_hit) > 0) \
+        + 2 * (np.bincount(group, weights=unseen_hit) > 0)
+    moves = np.flatnonzero(kind)
+    k = kind[moves]
+    states = np.concatenate([[0], moves[1:][(k[1:] != k[:-1]) | (k[1:] == 3)],
+                             [thresholds.size]])
 
-    def accuracy_pair(c: float) -> tuple[float, float]:
-        hits = np.where(d_s + c <= d_u, seen_hit, unseen_hit)
-        return (_macro_accuracy(hits, seen_pos, n_seen),
-                _macro_accuracy(hits, unseen_pos, n_unseen))
-
-    d_max = float(np.max(np.abs(d_u - d_s)))
-    span = (d_max if d_max > 0 else 1.0) * (1.0 + 1e-9)
-    cals = np.concatenate([[-np.inf], np.linspace(-span, span, n_points), [np.inf]])
-    seen_acc, unseen_acc = (np.array(a) for a in zip(*map(accuracy_pair, cals)))
-    return SeenUnseenCurve(calibrations=cals, seen_acc=seen_acc, unseen_acc=unseen_acc,
-                           auc=trapezoid_auc(unseen_acc, seen_acc),
-                           at_zero=accuracy_pair(0.0))
+    # hit counts at each vertex state and at calibration 0: the all-seen
+    # counts plus the flips of the groups before it
+    queries, at = np.unique(np.append(states, np.searchsorted(thresholds, 0.0)),
+                            return_inverse=True)
+    hits = np.bincount(np.searchsorted(queries, group + 1) * n_cols + col,
+                       weights=unseen_hit.astype(np.float64) - seen_hit,
+                       minlength=queries.size * n_cols).reshape(-1, n_cols)
+    np.cumsum(hits, axis=0, out=hits)
+    hits += np.bincount(col, weights=seen_hit, minlength=n_cols)
+    counts = np.bincount(col, minlength=n_cols)
+    seen_acc = _macro_accuracy(hits[:, :n_seen], counts[:n_seen])[at]
+    unseen_acc = _macro_accuracy(hits[:, n_seen:-1], counts[n_seen:-1])[at]
+    return SeenUnseenCurve(
+        calibrations=np.concatenate([[-np.inf], thresholds[states[1:-1]], [np.inf]]),
+        seen_acc=seen_acc[:-1], unseen_acc=unseen_acc[:-1],
+        auc=trapezoid_auc(unseen_acc[:-1], seen_acc[:-1]),
+        at_zero=(float(seen_acc[-1]), float(unseen_acc[-1])))
 
 
 def harmonic_mean(seen_acc: float, unseen_acc: float) -> float:
@@ -241,13 +265,8 @@ def curve_svg(curve: SeenUnseenCurve, width: int = 480, height: int = 480) -> st
     """Plain-text SVG line plot of seen accuracy (y) over unseen accuracy (x)."""
     pad = 40.0
     w, h = width - 2 * pad, height - 2 * pad
-
-    def px(u, s):
-        return pad + u * w, pad + (1.0 - s) * h
-
-    order = np.argsort(curve.unseen_acc, kind="stable")
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in
-                   (px(curve.unseen_acc[i], curve.seen_acc[i]) for i in order))
+    pts = " ".join(f"{pad + u * w:.2f},{pad + (1.0 - s) * h:.2f}"
+                   for u, s in zip(curve.unseen_acc, curve.seen_acc))
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
         f'  <title>seen-unseen curve, AUC={curve.auc:.6g}</title>\n'

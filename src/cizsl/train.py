@@ -50,9 +50,14 @@ class TrainConfig:
     eval_interval: int = 100
 
     def validate(self) -> "TrainConfig":
-        if self.lambda_creativity < 0:
+        if not self.lambda_creativity >= 0:
             raise InvalidConfigError(
                 f"lambda_creativity must be >= 0, got {self.lambda_creativity}")
+        if not self.learning_rate > 0:
+            raise InvalidConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise InvalidConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.n_critic < 1:
             raise InvalidConfigError(f"n_critic must be >= 1, got {self.n_critic}")
         if self.n_steps < 0:
@@ -62,7 +67,7 @@ class TrainConfig:
         if self.alpha_mode not in ALPHA_MODES:
             raise InvalidConfigError(
                 f"alpha_mode {self.alpha_mode!r} not in {ALPHA_MODES}")
-        if self.gp_weight < 0:
+        if not self.gp_weight >= 0:
             raise InvalidConfigError(f"gp_weight must be >= 0, got {self.gp_weight}")
         if self.eval_interval < 1:
             raise InvalidConfigError(f"eval_interval must be >= 1, got {self.eval_interval}")
@@ -237,7 +242,7 @@ def train(dataset: ZslDataset, config: TrainConfig,
 
 def validation_auc(model_gen: Generator, train_ds: ZslDataset,
                    samples_per_center: int = 30, seed: int = 0,
-                   metric: str = "l2", n_points: int = 61) -> float:
+                   metric: str = "l2") -> float:
     """Seen/unseen AUC on a split dataset whose pseudo-unseen classes carry
     their held-out instances: real centers for seen classes, synthesized
     centers for the pseudo-unseen ones."""
@@ -250,7 +255,7 @@ def validation_auc(model_gen: Generator, train_ds: ZslDataset,
         model_gen, descriptors, samples_per_center,
         RngStream(seed, STREAM_EVAL))
     curve = seen_unseen_curve(train_ds.features, train_ds.labels, seen_centers,
-                              unseen_centers, metric=metric, n_points=n_points)
+                              unseen_centers, metric=metric)
     return curve.auc
 
 

@@ -157,8 +157,7 @@ def _benchmark_auc(model, ds, seed):
     desc = {int(c): ds.descriptor_of(int(c)) for c in ds.unseen_class_ids}
     unseen = synthesize_centers(model.generator, desc, 30,
                                 RngStream(seed, STREAM_EVAL))
-    return seen_unseen_curve(ds.features, ds.labels, seen_centers, unseen,
-                             n_points=101).auc
+    return seen_unseen_curve(ds.features, ds.labels, seen_centers, unseen).auc
 
 
 def test_criterion_4_ablation_direction():

@@ -12,6 +12,59 @@ from cizsl.net import Generator, Layer, MlpNetwork, load_checkpoint, save_checkp
 from cizsl.numerics import STREAM_EVAL, RngStream
 
 
+EXAMPLE_CONFIG = """\
+{
+ "eval": {
+  "metric": "l2",
+  "retrieval_ratios": [
+   0.25,
+   0.5,
+   1.0
+  ],
+  "samples_per_center": 60
+ },
+ "out_dir": "run",
+ "synthetic": {
+  "classes_per_super": 4,
+  "descriptor_noise": 0.3,
+  "feature_dim": 48,
+  "feature_noise": 0.05,
+  "instances_per_class": 50,
+  "n_super": 8,
+  "noise_dim": 16,
+  "nonlinear": true,
+  "seed": 0,
+  "split_mode": "hard",
+  "text_dim": 32,
+  "unseen_fraction": 0.25
+ },
+ "train": {
+  "adam_beta1": 0.5,
+  "adam_beta2": 0.9,
+  "alpha_mode": "uniform-0.2-0.8",
+  "batch_size": 64,
+  "beta_init": 0.5,
+  "creativity_enabled": true,
+  "divergence_mode": "sharma-mittal",
+  "eval_interval": 100,
+  "extra_class_for_hallucinated": false,
+  "gamma_init": 2.0,
+  "gp_weight": 10.0,
+  "hidden_dim": 128,
+  "lambda_creativity": 1.0,
+  "learn_beta": true,
+  "learn_gamma": true,
+  "learning_rate": 0.001,
+  "n_critic": 5,
+  "n_steps": 3000,
+  "noise_dim": 16,
+  "seed": 0,
+  "text_embed_dim": 64
+ }
+}
+"""
+
+
 def write_config(path: Path, **overrides) -> Path:
     cfg = {
         "synthetic": {"n_super": 3, "classes_per_super": 1, "instances_per_class": 30,
@@ -21,7 +74,7 @@ def write_config(path: Path, **overrides) -> Path:
                       "unseen_fraction": 0.34, "seed": 3},
         "train": {"n_steps": 10, "batch_size": 8, "seed": 3, "noise_dim": 4,
                   "text_embed_dim": 8, "hidden_dim": 16, "eval_interval": 5},
-        "eval": {"samples_per_center": 10, "calibration_points": 21},
+        "eval": {"samples_per_center": 10},
         "out_dir": str(path.parent / "run"),
     }
     for key, value in overrides.items():
@@ -86,6 +139,29 @@ class TestTrainCommand:
         assert code == 1
         assert key in err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "learning_rate", float("nan")),
+        ("train", "learning_rate", -1.0),
+        ("train", "learning_rate", 0),
+        ("train", "adam_beta1", 1.0),
+        ("train", "adam_beta2", -0.1),
+        ("train", "adam_beta2", float("nan")),
+        ("train", "lambda_creativity", float("inf")),
+        ("train", "beta_init", float("nan")),
+        ("train", "gamma_init", float("-inf")),
+        ("train", "gp_weight", float("nan")),
+        ("synthetic", "feature_noise", float("nan")),
+        ("eval", "retrieval_ratios", [0.5, float("inf")]),
+    ])
+    def test_non_finite_or_out_of_range_setting_exits_1(self, tmp_path, capsys,
+                                                        section, key, value):
+        # json writes these as NaN / Infinity, which json readers accept
+        cfg = write_config(tmp_path / "cfg.json", **{section: {key: value}})
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg))
+        assert code == 1
+        assert key in err
+        assert not (tmp_path / "run").exists()
+
     def test_int_accepted_for_float_and_list_for_tuple(self, tmp_path):
         cfg = load_experiment_config(write_config(
             tmp_path / "cfg.json", train={"learning_rate": 1},
@@ -137,7 +213,7 @@ def trained_run(tmp_path_factory):
                       "unseen_fraction": 0.5, "seed": 2},
         "train": {"n_steps": 400, "batch_size": 16, "seed": 0, "noise_dim": 4,
                   "text_embed_dim": 8, "hidden_dim": 32, "eval_interval": 200},
-        "eval": {"samples_per_center": 60, "calibration_points": 41},
+        "eval": {"samples_per_center": 60},
         "out_dir": str(tmp / "run"),
     }))
     assert main(["train", "--config", str(cfg_path)]) == 0
@@ -191,13 +267,13 @@ class TestEvalCommands:
         top1 = zsl_top1(ds.features[rows], ds.labels[rows], centers)
         assert metrics["top1"] == f"{top1:.6g}"
 
-    @pytest.mark.parametrize("points", [1, 2])
-    def test_too_few_calibration_points_exits_1(self, tmp_path, capsys, points):
-        cfg = write_config(tmp_path / "cfg.json", eval={"calibration_points": points})
+    def test_calibration_points_setting_exits_1(self, tmp_path, capsys):
+        # the curve is exact, so the old grid size is an unknown field
+        cfg = write_config(tmp_path / "cfg.json", eval={"calibration_points": 201})
         code, _, err = run_cli(capsys, "eval", "--config", str(cfg),
                                "--checkpoint", str(tmp_path / "unused.czsl"))
         assert code == 1
-        assert "eval.calibration_points" in err
+        assert "eval.'calibration_points'" in err
 
     def test_dim_mismatch_exits_1(self, trained_run, capsys, tmp_path):
         cfg_path, ckpt, _ = trained_run
@@ -335,6 +411,13 @@ class TestSynthCommand:
         from cizsl.cli import load_experiment_config
         cfg = load_experiment_config(path)
         assert cfg.synthetic is not None
+
+    def test_example_config_text(self, capsys):
+        # the template's exact bytes: one-space indent, sorted keys, a
+        # trailing newline (the same text as the `config.json` snapshot)
+        code, out, _ = run_cli(capsys, "synth", "--example-config")
+        assert code == 0
+        assert out == EXAMPLE_CONFIG
 
     def test_writes_loadable_dataset(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")

@@ -209,7 +209,7 @@ class TestCurve:
 
     def test_anchors_and_perfect_separation(self):
         feats, labels, seen, unseen = self.separable_setup()
-        curve = seen_unseen_curve(feats, labels, seen, unseen, n_points=41)
+        curve = seen_unseen_curve(feats, labels, seen, unseen)
         # anchors: -inf forces everything seen, +inf everything unseen
         assert curve.calibrations[0] == -np.inf
         assert curve.unseen_acc[0] == 0.0
@@ -217,43 +217,69 @@ class TestCurve:
         assert curve.seen_acc[-1] == 0.0
         assert curve.seen_acc[0] == 1.0    # separable within seen space
         assert curve.unseen_acc[-1] == 1.0
-        assert curve.auc == pytest.approx(1.0)  # perfect at every calibration
-        assert 0.0 <= curve.auc <= 1.0
+        # unseen rows flip first (right to the corner), then seen rows (down)
+        np.testing.assert_array_equal(curve.seen_acc, [1.0, 1.0, 0.0])
+        np.testing.assert_array_equal(curve.unseen_acc, [0.0, 1.0, 1.0])
+        assert curve.auc == 1.0
 
-    def random_setup(self):
+    def random_setup(self, k=2, n=60):
         rng = RngStream(16, 0)
-        seen = centers_of([1, 2], rng.normal((2, 3)))
-        unseen = centers_of([5, 6], rng.normal((2, 3)))
-        feats = rng.normal((60, 3))
-        labels = np.concatenate([np.array([1, 2])[rng.integers(0, 2, 30)],
-                                 np.array([5, 6])[rng.integers(0, 2, 30)]])
+        seen = centers_of(range(1, k + 1), rng.normal((k, 3)))
+        unseen = centers_of(range(k + 3, 2 * k + 3), rng.normal((k, 3)))
+        feats = rng.normal((n, 3))
+        labels = np.concatenate([seen.class_ids[rng.integers(0, k, n // 2)],
+                                 unseen.class_ids[rng.integers(0, k, n // 2)]])
         return feats, labels, seen, unseen
 
+    def tied_setup(self):
+        # small integer coordinates: every distance is the exact square root
+        # of an integer, whatever the summation order, so thresholds tie
+        # exactly and `brute_force` sees the same ones as the sweep
+        rng = RngStream(24, 0)
+        seen = centers_of([1, 2, 3], rng.integers(-2, 3, (3, 2)))
+        unseen = centers_of([5, 6, 7], rng.integers(-2, 3, (3, 2)))
+        feats = rng.integers(-3, 4, (80, 2)).astype(float)
+        labels = np.array([1, 2, 3, 5, 6, 7])[rng.integers(0, 6, 80)]
+        return feats, labels, seen, unseen
+
+    @staticmethod
+    def brute_force(feats, labels, seen, unseen):
+        """Per row, the nearest class on each side by an explicit loop (ties
+        to the smaller id) and the threshold d_u - d_s; returns the
+        thresholds and the (seen, unseen) macro accuracies at calibration c,
+        where a row predicts its seen class iff c <= d_u - d_s."""
+        rows = []
+        for i in range(len(feats)):
+            best = []
+            for centers in (seen, unseen):
+                best_id, best_d = None, np.inf
+                for cid, center in zip(centers.class_ids, centers.centers):
+                    d = float(np.linalg.norm(feats[i] - center))
+                    if d < best_d:
+                        best_id, best_d = int(cid), d
+                best.append((best_id, best_d))
+            rows.append((best[0][0], best[1][0], best[1][1] - best[0][1]))
+
+        def pair(c):
+            correct = {int(cid): [] for cid in np.concatenate([seen.class_ids,
+                                                              unseen.class_ids])}
+            for (s_id, u_id, tau), label in zip(rows, labels):
+                if int(label) in correct:
+                    correct[int(label)].append((s_id if c <= tau else u_id) == label)
+            return tuple(np.mean([np.mean(correct[int(cid)]) for cid in ids.class_ids
+                                  if correct[int(cid)]]) for ids in (seen, unseen))
+
+        return np.array([tau for _, _, tau in rows]), pair
+
     def test_curve_matches_brute_force_reclassification(self):
-        feats, labels, seen, unseen = self.random_setup()
-        curve = seen_unseen_curve(feats, labels, seen, unseen, n_points=9)
+        feats, labels, seen, unseen = self.tied_setup()
+        curve = seen_unseen_curve(feats, labels, seen, unseen)
+        taus, brute_pair = self.brute_force(feats, labels, seen, unseen)
+        thresholds = np.unique(taus)
+        assert thresholds.size < taus.size / 2          # many rows tie
+        assert np.any((np.diff(curve.seen_acc) != 0)
+                      & (np.diff(curve.unseen_acc) != 0))      # a diagonal step
 
-        def brute_pair(c):
-            # per instance: best class on each side by an explicit loop (ties
-            # to the smaller id), then the calibrated seen score against the
-            # unseen one, the seen side winning an exact tie
-            correct = {cid: [] for cid in (1, 2, 5, 6)}
-            for i in range(60):
-                best = {}
-                for side, centers in (("s", seen), ("u", unseen)):
-                    best_id, best_d = None, np.inf
-                    for cid, center in zip(centers.class_ids, centers.centers):
-                        d = float(np.linalg.norm(feats[i] - center))
-                        if d < best_d:
-                            best_id, best_d = int(cid), d
-                    best[side] = (best_id, best_d)
-                pred = best["s"][0] if -best["s"][1] - c >= -best["u"][1] else best["u"][0]
-                correct[int(labels[i])].append(pred == labels[i])
-            s_acc = np.mean([np.mean(correct[cid]) for cid in (1, 2) if correct[cid]])
-            u_acc = np.mean([np.mean(correct[cid]) for cid in (5, 6) if correct[cid]])
-            return s_acc, u_acc
-
-        assert curve.calibrations.size == 9 + 2
         for j, c in enumerate(curve.calibrations):
             s_acc, u_acc = brute_pair(float(c))
             assert curve.seen_acc[j] == pytest.approx(s_acc, abs=1e-12)
@@ -262,30 +288,92 @@ class TestCurve:
         assert curve.at_zero[0] == pytest.approx(s_acc, abs=1e-12)
         assert curve.at_zero[1] == pytest.approx(u_acc, abs=1e-12)
 
+        # between distinct thresholds the point lies on the segment that
+        # ends at the first vertex at or above the calibration
+        for c in (thresholds[1:] + thresholds[:-1]) / 2:
+            s_acc, u_acc = brute_pair(float(c))
+            j = np.searchsorted(curve.calibrations, c)
+            s0, s1 = curve.seen_acc[j - 1], curve.seen_acc[j]
+            u0, u1 = curve.unseen_acc[j - 1], curve.unseen_acc[j]
+            on_end = any(s_acc == pytest.approx(s, abs=1e-12)
+                         and u_acc == pytest.approx(u, abs=1e-12)
+                         for s, u in ((s0, u0), (s1, u1)))
+            vertical = u0 == u1 == pytest.approx(u_acc, abs=1e-12) \
+                and s1 - 1e-12 <= s_acc <= s0 + 1e-12
+            horizontal = s0 == s1 == pytest.approx(s_acc, abs=1e-12) \
+                and u0 - 1e-12 <= u_acc <= u1 + 1e-12
+            assert on_end or vertical or horizontal
+
+    def test_auc_matches_trapezoid_at_every_threshold(self):
+        feats, labels, seen, unseen = self.tied_setup()
+        curve = seen_unseen_curve(feats, labels, seen, unseen)
+        taus, brute_pair = self.brute_force(feats, labels, seen, unseen)
+        points = np.array([brute_pair(c) for c in
+                           np.concatenate([[-np.inf], np.unique(taus), [np.inf]])])
+        assert curve.auc == pytest.approx(trapezoid_auc(points[:, 1], points[:, 0]),
+                                          abs=1e-12)
+
+    @pytest.mark.parametrize("setup", ["tied_setup", "random_setup"])
+    def test_row_permutation_invariance(self, setup):
+        feats, labels, seen, unseen = getattr(self, setup)()
+        curve = seen_unseen_curve(feats, labels, seen, unseen)
+        rng = RngStream(25, 0)
+        for _ in range(5):
+            perm = rng.permutation(len(labels))
+            other = seen_unseen_curve(feats[perm], labels[perm], seen, unseen)
+            for field in ("calibrations", "seen_acc", "unseen_acc"):
+                np.testing.assert_array_equal(getattr(other, field), getattr(curve, field))
+            assert other.auc == curve.auc
+            assert other.at_zero == curve.at_zero
+
+    def wide_setup(self, n=2000, k=50):
+        # every row labelled with its nearest class on a random side: all
+        # hits, so seen and unseen flips interleave and the curve has about
+        # one vertex per two rows
+        rng = RngStream(29, 0)
+        seen = centers_of(range(k), rng.normal((k, 8)))
+        unseen = centers_of(range(100, 100 + k), rng.normal((k, 8)))
+        feats = rng.normal((n, 8))
+        labels = np.where(rng.integers(0, 2, n) == 1,
+                          seen.class_ids[_distances(feats, seen.centers, "l2").argmin(1)],
+                          unseen.class_ids[_distances(feats, unseen.centers, "l2").argmin(1)])
+        return feats, labels, seen, unseen
+
+    def test_memory_bounded_by_distance_matrix(self):
+        n, k = 2000, 50
+        feats, labels, seen, unseen = self.wide_setup(n, k)
+        seen_unseen_curve(feats, labels, seen, unseen)  # first-call imports
+        tracemalloc.start()
+        try:
+            curve = seen_unseen_curve(feats, labels, seen, unseen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert curve.calibrations.size > n / 4
+        # the N x 2K distance matrix is 1.6 MB; a count matrix per sweep
+        # state would be N times that
+        assert peak < 2 * n * 2 * k * 8
+
     def test_unseen_anchor_is_zsl_top1(self):
-        feats, labels, seen, unseen = self.random_setup()
-        curve = seen_unseen_curve(feats, labels, seen, unseen, n_points=5)
-        rows = np.isin(labels, unseen.class_ids)
-        assert curve.unseen_acc[-1] == zsl_top1(feats[rows], labels[rows], unseen)
+        # exactly equal, also at 10 classes, where summing the class rates in
+        # another order than zsl_top1 (pairwise) moves the last bit
+        for k in (2, 10):
+            feats, labels, seen, unseen = self.random_setup(k, n=30 * k)
+            curve = seen_unseen_curve(feats, labels, seen, unseen)
+            rows = np.isin(labels, unseen.class_ids)
+            assert curve.unseen_acc[-1] == zsl_top1(feats[rows], labels[rows], unseen)
 
     def test_rows_of_neither_population_ignored(self):
         feats, labels, seen, unseen = self.random_setup()
-        # copies of existing rows keep the calibration span unchanged
         extra = feats[::3]
         with_extra = seen_unseen_curve(
             np.vstack([feats, extra]),
-            np.concatenate([labels, np.full(len(extra), 99)]), seen, unseen, n_points=7)
-        plain = seen_unseen_curve(feats, labels, seen, unseen, n_points=7)
+            np.concatenate([labels, np.full(len(extra), 99)]), seen, unseen)
+        plain = seen_unseen_curve(feats, labels, seen, unseen)
         for field in ("calibrations", "seen_acc", "unseen_acc"):
             np.testing.assert_array_equal(getattr(with_extra, field), getattr(plain, field))
         assert with_extra.auc == plain.auc
         assert with_extra.at_zero == plain.at_zero
-
-    @pytest.mark.parametrize("n_points", [-1, 0, 1, 2])
-    def test_fewer_than_three_points_rejected(self, n_points):
-        feats, labels, seen, unseen = self.separable_setup()
-        with pytest.raises(InvalidInputError, match="eval.calibration_points"):
-            seen_unseen_curve(feats, labels, seen, unseen, n_points=n_points)
 
     def test_one_population_missing_rejected(self):
         feats, labels, seen, unseen = self.separable_setup()
@@ -293,19 +381,27 @@ class TestCurve:
         with pytest.raises(InvalidInputError, match="both populations"):
             seen_unseen_curve(feats[rows], labels[rows], seen, unseen)
 
+    def test_shared_class_id_rejected(self):
+        feats, labels, seen, unseen = self.separable_setup()
+        shared = centers_of([2, 11], unseen.centers)
+        with pytest.raises(InvalidInputError, match="disjoint"):
+            seen_unseen_curve(feats, labels, seen, shared)
+
     def test_csv_export_format(self):
         feats, labels, seen, unseen = self.separable_setup()
-        curve = seen_unseen_curve(feats, labels, seen, unseen, n_points=5)
+        curve = seen_unseen_curve(feats, labels, seen, unseen)
         text = curve_csv(curve)
         lines = text.strip().split("\n")
         assert lines[0] == "calibration,acc_seen,acc_unseen"
         assert lines[1].startswith("-inf,")
         assert lines[-1].startswith("inf,")
-        assert len(lines) == 1 + 5 + 2
+        # one row per vertex: the two anchors and the corner
+        assert len(lines) == 1 + 3
+        assert lines[2].endswith(",1,1")
 
     def test_svg_export_mentions_auc(self):
         feats, labels, seen, unseen = self.separable_setup()
-        curve = seen_unseen_curve(feats, labels, seen, unseen, n_points=5)
+        curve = seen_unseen_curve(feats, labels, seen, unseen)
         svg = curve_svg(curve)
         assert svg.startswith("<svg")
         assert f"AUC={curve.auc:.6g}" in svg
