@@ -267,9 +267,10 @@ class TestEvalCommands:
         top1 = zsl_top1(ds.features[rows], ds.labels[rows], centers)
         assert metrics["top1"] == f"{top1:.6g}"
 
-    def test_calibration_points_setting_exits_1(self, tmp_path, capsys):
-        # the curve is exact, so the old grid size is an unknown field
-        cfg = write_config(tmp_path / "cfg.json", eval={"calibration_points": 201})
+    @pytest.mark.parametrize("points", [1, 2, 201])
+    def test_too_few_calibration_points_exits_1(self, tmp_path, capsys, points):
+        # the curve is exact, so any grid size is now an unknown field
+        cfg = write_config(tmp_path / "cfg.json", eval={"calibration_points": points})
         code, _, err = run_cli(capsys, "eval", "--config", str(cfg),
                                "--checkpoint", str(tmp_path / "unused.czsl"))
         assert code == 1
