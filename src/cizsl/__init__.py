@@ -2,7 +2,7 @@
 recognition, plus the generalized seen/unseen evaluation stack."""
 
 from .data import SyntheticConfig, ZslDataset, load_dataset, make_synthetic, save_dataset
-from .divergence import DivergenceParams, batch_minmax_normalize, entropy_loss_le, sm_divergence
+from .divergence import DivergenceParams, batch_minmax_normalize, sm_divergence
 from .evaluate import (ClassCenters, SeenUnseenCurve, harmonic_mean,
                        retrieval_precision, seen_unseen_curve, synthesize_centers,
                        zsl_top1)

@@ -101,9 +101,6 @@ class ZslDataset:
     def instances_of(self, class_id: int) -> np.ndarray:
         return self.features[self.labels == class_id]
 
-    def super_of(self, class_id: int) -> int:
-        return int(self.super_ids[self.class_index(class_id)])
-
     def restrict_to(self, class_ids) -> "ZslDataset":
         """New dataset holding only the listed classes and their instances."""
         wanted = set(int(c) for c in class_ids)
@@ -124,16 +121,6 @@ class ZslDataset:
         seen = set(int(c) for c in seen_ids)
         mask = np.array([int(c) in seen for c in self.class_ids])
         return replace(self, seen_mask=mask).validate()
-
-
-def datasets_equal(a: ZslDataset, b: ZslDataset) -> bool:
-    return (np.array_equal(a.features, b.features)
-            and np.array_equal(a.labels, b.labels)
-            and np.array_equal(a.class_ids, b.class_ids)
-            and a.class_names == b.class_names
-            and np.array_equal(a.descriptors, b.descriptors)
-            and np.array_equal(a.super_ids, b.super_ids)
-            and np.array_equal(a.seen_mask, b.seen_mask))
 
 
 # --------------------------------------------------------------------------

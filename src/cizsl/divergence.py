@@ -1,21 +1,29 @@
 """Two-parameter Sharma-Mittal divergence family with learnable (gamma, beta),
-its named limit cases, the entropy loss against the uniform distribution,
-and batch min-max normalization.
+the entropy loss against the uniform distribution, and batch min-max
+normalization.
 
-The general member is
+The family is
 
     SM(gamma, beta)(p || q) = ((sum_i p_i^gamma q_i^(1-gamma))^((1-beta)/(1-gamma)) - 1) / (beta - 1)
 
-for gamma > 0, gamma != 1, beta != 1. The whole power sum is raised to the
-exponent; this is the form under which the family's limit identities hold:
+for gamma > 0, gamma != 1, beta != 1. The whole power sum S is raised to the
+exponent; this is the form under which the family's limit identities hold
+(Nielsen & Nock 2011):
 
-    beta -> 1                : Renyi_gamma  = ln(S) / (gamma - 1)
+    beta -> 1                : Renyi_gamma   = ln(S) / (gamma - 1)
     beta = gamma             : Tsallis_gamma = (S - 1) / (gamma - 1)
     gamma -> 1, beta -> 1    : KL(p || q)
     gamma -> 0.5, beta -> 1  : 2 * Bhattacharyya = -2 ln sum_i sqrt(p_i q_i)
 
-Evaluation within `GUARD_EPS` of the removable singularities at gamma = 1 or
-beta = 1 dispatches to the analytic limit (values and gradients), so learnable
+The named modes are this one formula at pinned parameters, and only
+`DivergenceParams` knows them: it pins kl at (1, 1), bhattacharyya at
+(0.5, 1) and renyi's beta at 1, and ties tsallis's beta to gamma,
+overwriting whatever a caller passes. The partial of a pinned parameter is
+0, tsallis's gamma partial is taken along beta = gamma, and bhattacharyya
+is half the family's (0.5, 1) limit, -ln sum_i sqrt(p_i q_i).
+
+Within `GUARD_EPS` of the removable singularities at gamma = 1 or beta = 1
+the values and gradients are those of the analytic limit, so learnable
 parameters can cross the strip without blowing up.
 """
 from __future__ import annotations
@@ -26,7 +34,15 @@ import numpy as np
 
 from .errors import DivergenceUndefinedError, InvalidConfigError, InvalidInputError
 
-MODES = ("sharma-mittal", "kl", "renyi", "tsallis", "bhattacharyya")
+# which of (gamma, beta) each mode leaves free; DivergenceParams pins the rest
+_FREE = {
+    "sharma-mittal": ("gamma", "beta"),
+    "renyi": ("gamma",),
+    "tsallis": ("gamma",),
+    "kl": (),
+    "bhattacharyya": (),
+}
+MODES = tuple(_FREE)
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -38,9 +54,10 @@ GUARD_EPS = 1e-3
 class DivergenceParams:
     """Selects a member of the family and which parameters are learnable.
 
-    `kl` and `bhattacharyya` have no free parameters; `renyi` frees gamma
-    with beta pinned at its limit; `tsallis` ties beta = gamma. Requesting a
-    pinned parameter as learnable is a configuration error.
+    Construction pins what the mode does not leave free (see the module
+    docstring), and `dataclasses.replace` re-runs it, so every copy keeps
+    the pins. Requesting a pinned parameter as learnable is a configuration
+    error.
     """
 
     mode: str = "sharma-mittal"
@@ -49,16 +66,29 @@ class DivergenceParams:
     learn_gamma: bool = False
     learn_beta: bool = False
 
+    def __post_init__(self):
+        gamma, beta = {"kl": (1.0, 1.0), "bhattacharyya": (0.5, 1.0),
+                       "renyi": (self.gamma, 1.0),
+                       "tsallis": (self.gamma, self.gamma)}.get(
+                           self.mode, (self.gamma, self.beta))
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "beta", beta)
+
+    @property
+    def free(self) -> tuple[str, ...]:
+        """The parameters, of "gamma" and "beta", that the mode leaves free."""
+        return _FREE[self.mode]
+
     def validate(self) -> "DivergenceParams":
-        if self.mode not in MODES:
+        if self.mode not in _FREE:
             raise InvalidConfigError(
                 f"unknown divergence mode {self.mode!r}; expected one of {MODES}")
         if not self.gamma > 0:
             raise InvalidConfigError(f"gamma must be positive, got {self.gamma}")
-        if self.mode in ("kl", "bhattacharyya") and (self.learn_gamma or self.learn_beta):
-            raise InvalidConfigError(f"mode {self.mode!r} has no learnable parameters")
-        if self.mode in ("renyi", "tsallis") and self.learn_beta:
-            raise InvalidConfigError(f"mode {self.mode!r} pins beta; it cannot be learnable")
+        for name, learn in (("gamma", self.learn_gamma), ("beta", self.learn_beta)):
+            if learn and name not in self.free:
+                raise InvalidConfigError(
+                    f"mode {self.mode!r} pins {name}; it cannot be learnable")
         return self
 
     # -- unconstrained parameterization used by the optimizer ---------------
@@ -73,8 +103,7 @@ class DivergenceParams:
         return np.array(u, dtype=np.float64)
 
     def with_learnable_vector(self, u: np.ndarray) -> "DivergenceParams":
-        """Copy with the learnable parameters read from `u`; `tsallis` keeps
-        beta tied to gamma."""
+        """Copy with the learnable parameters read from `u`."""
         u = np.asarray(u, dtype=np.float64)
         out = self
         i = 0
@@ -83,8 +112,6 @@ class DivergenceParams:
             i += 1
         if self.learn_beta:
             out = replace(out, beta=float(u[i]))
-        if self.mode == "tsallis":
-            out = replace(out, beta=out.gamma)
         return out
 
     def learnable_gradient(self, d_gamma: float, d_beta: float) -> np.ndarray:
@@ -97,7 +124,80 @@ class DivergenceParams:
         return np.array(g, dtype=np.float64)
 
 
-def _check_pair(p: np.ndarray, q: np.ndarray, gamma: float) -> None:
+def _sm_batch(p: np.ndarray, q: np.ndarray, params: DivergenceParams):
+    """Per-row divergence and its partials for 2-D inputs (rows are
+    distributions): (values, d/dp rows, d/dgamma rows, d/dbeta rows).
+
+    Within the guard strip the values and gradients are those of the limit
+    formula, including the exact cross-terms
+        d SM/d beta |_{beta->1}  = ln^2(S) / (2 (1-gamma)^2)
+        d SM/d gamma|_{gamma->1} = e^{(beta-1) KL} (M - KL^2) / 2
+    with M = sum p ln^2(p/q), so training can traverse the strip smoothly.
+    Terms with p_i = 0 contribute nothing (0 ln 0 := 0).
+    """
+    gamma, beta = params.gamma, params.beta
+    pos = p > 0.0
+    log_p = np.log(np.maximum(p, _TINY))
+    log_q = np.log(np.maximum(q, _TINY))
+    ratio = log_p - log_q
+    near_b = abs(beta - 1.0) < GUARD_EPS
+
+    if abs(gamma - 1.0) < GUARD_EPS:
+        # KL limit of the family
+        p_ratio = p * ratio
+        k = np.sum(np.where(pos, p_ratio, 0.0), axis=-1)
+        m2 = np.sum(np.where(pos, p_ratio * ratio, 0.0), axis=-1)
+        value, dp = k, ratio + 1.0
+        dg = 0.5 * (m2 - k * k)
+        db = 0.5 * k * k
+        if not near_b:
+            expk = np.exp((beta - 1.0) * k)
+            em1 = np.expm1((beta - 1.0) * k)
+            value, dp = em1 / (beta - 1.0), expk[:, None] * dp
+            dg = 0.5 * expk * (m2 - k * k)
+            db = (k * expk * (beta - 1.0) - em1) / (beta - 1.0) ** 2
+    else:
+        # power sum S = sum_i p_i^gamma q_i^(1-gamma) by a stable log-sum-exp
+        lt = np.where(pos, gamma * log_p + (1.0 - gamma) * log_q, -np.inf)
+        top = np.max(lt, axis=-1, keepdims=True)
+        ln_s = (top + np.log(np.sum(np.exp(lt - top), axis=-1, keepdims=True)))[:, 0]
+        s = np.exp(ln_s)
+        # dS/dp_i = gamma p_i^(gamma-1) q_i^(1-gamma) is infinite at p_i = 0
+        # when gamma < 1; the gradient contract covers interior points only
+        ds_dp = gamma * np.exp(lt - log_p)
+        ds_dg = np.sum(np.exp(lt) * ratio, axis=-1)
+        if near_b:
+            # Renyi limit of the family
+            value = ln_s / (gamma - 1.0)
+            dp = ds_dp / (s[:, None] * (gamma - 1.0))
+            dg = -ln_s / (gamma - 1.0) ** 2 + ds_dg / (s * (gamma - 1.0))
+            db = ln_s * ln_s / (2.0 * (1.0 - gamma) ** 2)
+        else:
+            exponent = (1.0 - beta) / (1.0 - gamma)
+            a = np.exp(exponent * ln_s)
+            value = np.expm1(exponent * ln_s) / (beta - 1.0)
+            dp = a[:, None] * exponent * ds_dp / s[:, None] / (beta - 1.0)
+            dg = a * (exponent / (1.0 - gamma) * ln_s + exponent * ds_dg / s) / (beta - 1.0)
+            db = (a * (-ln_s / (1.0 - gamma)) * (beta - 1.0) - (a - 1.0)) / (beta - 1.0) ** 2
+
+    # the modes' semantics on top of the family's value and partials
+    if params.mode == "tsallis":
+        dg = dg + db  # gamma's partial along the tied line beta = gamma
+    if "gamma" not in params.free:
+        dg = np.zeros_like(value)
+    if "beta" not in params.free:
+        db = np.zeros_like(value)
+    if params.mode == "bhattacharyya":
+        value, dp = 0.5 * value, 0.5 * dp
+    return value, dp, dg, db
+
+
+def _checked_pair(p, q, params: DivergenceParams):
+    """`p` and `q` as one-row batches, after checking they are distributions
+    over the same support on which the divergence is defined."""
+    params.validate()
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise InvalidInputError(f"p and q length mismatch: {p.shape} vs {q.shape}")
     if p.shape[-1] < 2:
@@ -108,129 +208,9 @@ def _check_pair(p: np.ndarray, q: np.ndarray, gamma: float) -> None:
         raise InvalidInputError("p does not sum to 1")
     if np.any(np.abs(np.sum(q, axis=-1) - 1.0) > 1e-9):
         raise InvalidInputError("q does not sum to 1")
-    bad = (q <= 0.0) & (p > 0.0)
-    if np.any(bad):
+    if np.any((q <= 0.0) & (p > 0.0)):
         raise DivergenceUndefinedError(
-            f"q vanishes where p has mass (gamma={gamma}); divergence undefined")
-
-
-def _log_terms(p: np.ndarray, q: np.ndarray, gamma: float) -> np.ndarray:
-    """log(p_i^gamma q_i^(1-gamma)) with p_i = 0 terms mapped to -inf."""
-    safe_p = np.maximum(p, _TINY)
-    safe_q = np.maximum(q, _TINY)
-    lt = gamma * np.log(safe_p) + (1.0 - gamma) * np.log(safe_q)
-    return np.where(p > 0.0, lt, -np.inf)
-
-
-def _kl_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """p_i ln(p_i/q_i) with the 0 ln 0 := 0 convention."""
-    safe_p = np.maximum(p, _TINY)
-    ratio = np.log(safe_p) - np.log(np.maximum(q, _TINY))
-    return np.where(p > 0.0, p * ratio, 0.0)
-
-
-def _kl_value(p, q):
-    return np.sum(_kl_terms(p, q), axis=-1)
-
-
-def _kl_second_moment(p, q):
-    """sum_i p_i ln^2(p_i/q_i); appears in limit expansions at gamma -> 1."""
-    safe_p = np.maximum(p, _TINY)
-    ratio = np.log(safe_p) - np.log(np.maximum(q, _TINY))
-    return np.sum(np.where(p > 0.0, p * ratio * ratio, 0.0), axis=-1)
-
-
-def _sm_batch(p: np.ndarray, q: np.ndarray, params: DivergenceParams):
-    """Per-row divergence and its partials for 2-D inputs (rows are
-    distributions): (values, d/dp rows, d/dgamma rows, d/dbeta rows).
-
-    Within the guard strip the values and gradients are those of the
-    dispatched limit formula, including the exact cross-terms
-        d SM/d beta |_{beta->1}  = ln^2(S) / (2 (1-gamma)^2)
-        d SM/d gamma|_{gamma->1} = e^{(beta-1) KL} (M - KL^2) / 2
-    with M = sum p ln^2(p/q), so training can traverse the strip smoothly.
-    """
-    gamma, beta = params.gamma, params.beta
-    mode = params.mode
-    zeros = np.zeros(p.shape[0])
-
-    if mode == "kl":
-        return _kl_value(p, q), _kl_grad_p(p, q), zeros, zeros
-    if mode == "bhattacharyya":
-        bc = np.sum(np.sqrt(p * q), axis=-1, keepdims=True)
-        dp = -0.5 * np.sqrt(np.maximum(q, _TINY) / np.maximum(p, _TINY)) / bc
-        return -np.log(bc[:, 0]), dp, zeros, zeros
-
-    near_b = abs(beta - 1.0) < GUARD_EPS
-    if abs(gamma - 1.0) < GUARD_EPS:
-        # KL limit of the family
-        k = _kl_value(p, q)
-        m2 = _kl_second_moment(p, q)
-        dp = _kl_grad_p(p, q)
-        dg = 0.5 * (m2 - k * k)
-        db = 0.5 * k * k
-        if mode == "renyi":
-            return k, dp, dg, zeros
-        if mode == "tsallis":
-            # along the constrained beta = gamma line both partials advance
-            return k, dp, dg + db, zeros
-        if near_b:
-            return k, dp, dg, db
-        expk = np.exp((beta - 1.0) * k)
-        em1 = np.expm1((beta - 1.0) * k)
-        dg = 0.5 * expk * (m2 - k * k)
-        db = (k * expk * (beta - 1.0) - em1) / (beta - 1.0) ** 2
-        return em1 / (beta - 1.0), expk[:, None] * dp, dg, db
-
-    s, ds_dp, ds_dg, ln_s = _power_sum_pieces(p, q, gamma)
-    if mode == "tsallis":
-        dp = ds_dp / (gamma - 1.0)
-        dg = (ds_dg * (gamma - 1.0) - (s - 1.0)) / (gamma - 1.0) ** 2
-        return (s - 1.0) / (gamma - 1.0), dp, dg, zeros
-    if mode == "renyi" or near_b:
-        dp = ds_dp / (s[:, None] * (gamma - 1.0))
-        dg = -ln_s / (gamma - 1.0) ** 2 + ds_dg / (s * (gamma - 1.0))
-        db = zeros if mode == "renyi" else ln_s * ln_s / (2.0 * (1.0 - gamma) ** 2)
-        return ln_s / (gamma - 1.0), dp, dg, db
-    # sharma-mittal
-    exponent = (1.0 - beta) / (1.0 - gamma)
-    a = np.exp(exponent * ln_s)
-    dp = a[:, None] * exponent * ds_dp / s[:, None] / (beta - 1.0)
-    da_dg = a * (exponent / (1.0 - gamma) * ln_s + exponent * ds_dg / s)
-    dg = da_dg / (beta - 1.0)
-    da_db = a * (-ln_s / (1.0 - gamma))
-    db = (da_db * (beta - 1.0) - (a - 1.0)) / (beta - 1.0) ** 2
-    return np.expm1(exponent * ln_s) / (beta - 1.0), dp, dg, db
-
-
-def _power_sum_pieces(p, q, gamma):
-    """S, dS/dp, dS/dgamma and ln S for rows, with stable exponentials."""
-    lt = _log_terms(p, q, gamma)
-    m = np.max(lt, axis=-1, keepdims=True)
-    e = np.exp(lt - m)
-    s_scaled = np.sum(e, axis=-1, keepdims=True)
-    ln_s = (m + np.log(s_scaled))[..., 0]
-    s = np.exp(ln_s)
-    # dS/dp_i = gamma * p_i^(gamma-1) q_i^(1-gamma); infinite at p_i = 0 when
-    # gamma < 1, which the gradient contract excludes (interior points only).
-    safe_p = np.maximum(p, _TINY)
-    ds_dp = gamma * np.exp(lt - np.log(safe_p))
-    log_ratio = np.where(p > 0.0,
-                         np.log(safe_p) - np.log(np.maximum(q, _TINY)), 0.0)
-    ds_dgamma = np.sum(np.where(p > 0.0, np.exp(lt), 0.0) * log_ratio, axis=-1)
-    return s, ds_dp, ds_dgamma, ln_s
-
-
-def _kl_grad_p(p, q):
-    safe_p = np.maximum(p, _TINY)
-    return np.log(safe_p) - np.log(np.maximum(q, _TINY)) + 1.0
-
-
-def _checked_pair(p, q, params: DivergenceParams):
-    params.validate()
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    _check_pair(p, q, params.gamma)
+            f"q vanishes where p has mass (gamma={params.gamma}); divergence undefined")
     return p[None, :], q[None, :]
 
 
@@ -246,20 +226,9 @@ def sm_divergence_grads(p, q, params: DivergenceParams):
     return dp[0], (float(dg[0]), float(db[0]))
 
 
-def entropy_loss_le(class_probs, params: DivergenceParams) -> float:
-    """Divergence between a class distribution and the uniform distribution.
-
-    Zero exactly when the input is uniform; strictly positive otherwise.
-    """
-    p = np.asarray(class_probs, dtype=np.float64)
-    if p.shape[-1] < 2:
-        raise InvalidInputError("entropy loss needs at least 2 classes")
-    q = np.full_like(p, 1.0 / p.shape[-1])
-    return sm_divergence(p, q, params)
-
-
 def entropy_loss_batch(probs: np.ndarray, params: DivergenceParams):
-    """Entropy loss values + gradients for a batch of softmax rows.
+    """Divergence of each softmax row from the uniform distribution: zero
+    exactly when the row is uniform, strictly positive otherwise.
 
     Returns (values (n,), d/dprobs (n, K), d/dgamma (n,), d/dbeta (n,)).
     """

@@ -27,7 +27,6 @@ class ClassCenters:
 
     class_ids: np.ndarray
     centers: np.ndarray
-    source: str = "real"
 
     def __post_init__(self):
         ids = np.asarray(self.class_ids, dtype=np.int64)
@@ -56,8 +55,7 @@ def synthesize_centers(gen: Generator, descriptors: dict[int, np.ndarray],
         z = rng.derive(cid).normal((n, gen.noise_dim))
         t = np.repeat(np.asarray(descriptors[cid], dtype=np.float64)[None, :], n, axis=0)
         centers.append(gen.forward(t, z).mean(axis=0))
-    return ClassCenters(class_ids=np.array(ids), centers=np.array(centers),
-                        source=f"generated({n})")
+    return ClassCenters(class_ids=np.array(ids), centers=np.array(centers))
 
 
 def _distances(features: np.ndarray, centers: np.ndarray, metric: str) -> np.ndarray:

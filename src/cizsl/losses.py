@@ -107,15 +107,15 @@ def creativity_loss(logits: np.ndarray, lam: float, div_params: DivergenceParams
     lsm = log_softmax(logits)
     probs = np.exp(lsm)
     if extra_class:
-        ce = float(np.mean(-lsm[:, -1]))
+        ce = -float(lsm[:, -1].sum()) / n
         probs[:, -1] -= 1.0
         return lam * ce, (lam / n) * probs, (0.0, 0.0), ce
     e, de_dp, de_dg, de_db = entropy_loss_batch(probs, div_params)
     bounds = minmax_bounds(e) if norm_bounds is None else norm_bounds
     w = lam * minmax_gradient_scale(bounds) / n
-    value = lam * float(np.mean(batch_minmax_normalize(e, bounds)))
+    value = lam * (float(batch_minmax_normalize(e, bounds).sum()) / n)
     return (value, softmax_vjp(probs, w * de_dp),
-            (w * float(de_dg.sum()), w * float(de_db.sum())), float(np.mean(e)))
+            (w * float(de_dg.sum()), w * float(de_db.sum())), float(e.sum()) / n)
 
 
 def visual_pivot(x: np.ndarray, labels: np.ndarray, centers: np.ndarray):
@@ -166,10 +166,10 @@ def generator_loss(gen: Generator, disc: Discriminator, t_s: np.ndarray,
     d_logits = np.empty_like(logits)
 
     lsm = log_softmax(logits[:m])
-    cls_term = -float(np.mean(np.sum(y * lsm[:, :k_cls], axis=1)))
+    cls_term = -float(np.sum(y * lsm[:, :k_cls], axis=1).sum()) / m
     d_logits[:m] = np.exp(lsm) / m
     d_logits[:m, :k_cls] -= y / m
-    realness = -float(np.mean(real[:m]))
+    realness = -float(real[:m].sum()) / m
     pivot, d_x_pivot = visual_pivot(x[:m], y_s, centers_by_class)
 
     value = realness + cls_term + pivot
@@ -182,7 +182,7 @@ def generator_loss(gen: Generator, disc: Discriminator, t_s: np.ndarray,
             logits[m:], lam, div_params, norm_bounds=norm_bounds,
             extra_class=extra_class)
         d_real[m:] = -1.0 / (real.size - m)
-        parts["creativity"] = -float(np.mean(real[m:])) + term
+        parts["creativity"] = -float(real[m:].sum()) / (real.size - m) + term
         value += parts["creativity"]
     parts["mean_entropy"] = mean_entropy
 
@@ -228,7 +228,7 @@ def discriminator_loss(disc: Discriminator, x_real: np.ndarray, y_real: np.ndarr
     n_h = n - 2 * m
     critic, logits = critic[:n], logits[:n]
 
-    wasserstein = float(np.mean(critic[:m]) - np.mean(critic[m:2 * m]))
+    wasserstein = float(critic[:m].sum()) / m - float(critic[m:2 * m].sum()) / m
     penalty, grad_penalty, _ = gradient_penalty(disc, cache.rows(slice(n, None)))
 
     target = np.zeros_like(logits)
@@ -239,8 +239,8 @@ def discriminator_loss(disc: Discriminator, x_real: np.ndarray, y_real: np.ndarr
         row_scale[2 * m:] = 0.5 / n_h
     lsm = log_softmax(logits)
     ce = -np.sum(target * lsm, axis=1)
-    cls_fake = 0.5 * float(np.mean(ce[:m]))
-    cls_real = 0.5 * float(np.mean(ce[m:2 * m]))
+    cls_fake = 0.5 * (float(ce[:m].sum()) / m)
+    cls_real = 0.5 * (float(ce[m:2 * m].sum()) / m)
     d_logits = (np.exp(lsm) - target) * row_scale[:, None]
     d_critic = np.concatenate([np.full(m, 1.0 / m), np.full(m, -1.0 / m), np.zeros(n_h)])
     grad, _ = disc.backward(cache.rows(slice(n)), d_critic, d_logits)
@@ -249,6 +249,6 @@ def discriminator_loss(disc: Discriminator, x_real: np.ndarray, y_real: np.ndarr
     parts = {"wasserstein_gap": -wasserstein, "penalty": penalty,
              "cls_real": cls_real, "cls_fake": cls_fake}
     if extra_class:
-        parts["cls_extra"] = 0.5 * float(np.mean(ce[2 * m:]))
+        parts["cls_extra"] = 0.5 * (float(ce[2 * m:].sum()) / n_h)
         value += parts["cls_extra"]
     return LossResult(value=value, grad_disc=grad + gp_weight * grad_penalty, parts=parts)

@@ -7,7 +7,6 @@ train/validation split.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,13 +76,8 @@ class TrainConfig:
         return self
 
     def divergence(self) -> DivergenceParams:
-        pinned = {"kl": (1.0, 1.0), "bhattacharyya": (0.5, 1.0)}
-        gamma, beta = pinned.get(self.divergence_mode, (self.gamma_init, self.beta_init))
-        if self.divergence_mode == "renyi":
-            beta = 1.0
-        if self.divergence_mode == "tsallis":
-            beta = gamma
-        return DivergenceParams(mode=self.divergence_mode, gamma=gamma, beta=beta,
+        return DivergenceParams(mode=self.divergence_mode, gamma=self.gamma_init,
+                                beta=self.beta_init,
                                 learn_gamma=self.learn_gamma, learn_beta=self.learn_beta)
 
 
@@ -305,6 +299,10 @@ def cross_validate_lambda(dataset: ZslDataset, config: TrainConfig,
 
     jobs = [(train_ds, config, float(lam), i) for i, lam in enumerate(grid)]
     if workers > 1 and len(jobs) > 1:
+        # imported here: concurrent.futures.process is about a tenth of the
+        # time `import cizsl.cli` takes, and only a parallel sweep uses it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             per_lambda = list(pool.map(_sweep_one, jobs))
     else:

@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from cizsl.data import (SyntheticConfig, datasets_equal, load_dataset,
-                        make_synthetic, save_dataset, class_means)
+from cizsl.data import (SyntheticConfig, load_dataset, make_synthetic,
+                        save_dataset, class_means)
 from cizsl.divergence import DivergenceParams, sm_divergence
 from cizsl.errors import DatasetFormatError
 from cizsl.evaluate import (ClassCenters, harmonic_mean, retrieval_precision,
@@ -23,6 +23,7 @@ from cizsl.net import (DiscriminatorArch, GeneratorArch, build_discriminator,
                        build_generator, load_checkpoint, save_checkpoint)
 from cizsl.numerics import RngStream, STREAM_EVAL
 from cizsl.train import TrainConfig, cross_validate_lambda, train
+from helpers import datasets_equal
 
 KL = DivergenceParams(mode="kl", gamma=1.0, beta=1.0)
 
@@ -160,6 +161,7 @@ def _benchmark_auc(model, ds, seed):
     return seen_unseen_curve(ds.features, ds.labels, seen_centers, unseen).auc
 
 
+@pytest.mark.slow
 def test_criterion_4_ablation_direction():
     """Creativity-regularized training beats the non-creative baseline on the
     hard synthetic split, and by more than on the matched easy split."""

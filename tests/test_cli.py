@@ -429,8 +429,8 @@ class TestSynthCommand:
         ds = load_dataset(tmp_path / "ds" / "dataset.json")
         assert ds.n_instances == 90
         # hard-mode super-category disjointness
-        seen_supers = {ds.super_of(int(c)) for c in ds.seen_class_ids}
-        unseen_supers = {ds.super_of(int(c)) for c in ds.unseen_class_ids}
+        seen_supers = set(ds.super_ids[ds.seen_mask].tolist())
+        unseen_supers = set(ds.super_ids[~ds.seen_mask].tolist())
         assert seen_supers.isdisjoint(unseen_supers)
 
     def test_fixed_seed_reproduces_bytes(self, tmp_path, capsys):

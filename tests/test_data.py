@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cizsl.data import (SyntheticConfig, ZslDataset, class_means, datasets_equal,
+from cizsl.data import (SyntheticConfig, ZslDataset, class_means,
                         load_dataset, make_synthetic, save_dataset,
                         split_train_val, read_blob, write_blob)
 from cizsl.errors import (DatasetFormatError, InvalidConfigError,
                           InvalidInputError, InvalidSplitError)
+from helpers import datasets_equal
 
 
 def small_config(**kw):
@@ -126,16 +127,16 @@ class TestManifestRoundTrip:
 class TestSynthetic:
     def test_hard_mode_supers_disjoint(self):
         ds = make_synthetic(small_config(split_mode="hard"))
-        seen_supers = {ds.super_of(int(c)) for c in ds.seen_class_ids}
-        unseen_supers = {ds.super_of(int(c)) for c in ds.unseen_class_ids}
+        seen_supers = set(ds.super_ids[ds.seen_mask].tolist())
+        unseen_supers = set(ds.super_ids[~ds.seen_mask].tolist())
         assert seen_supers.isdisjoint(unseen_supers)
         assert len(unseen_supers) == 1  # round(0.25 * 4)
 
     def test_easy_mode_supers_shared(self):
         ds = make_synthetic(small_config(split_mode="easy"))
-        seen_supers = {ds.super_of(int(c)) for c in ds.seen_class_ids}
-        for c in ds.unseen_class_ids:
-            assert ds.super_of(int(c)) in seen_supers
+        seen_supers = set(ds.super_ids[ds.seen_mask].tolist())
+        for s in ds.super_ids[~ds.seen_mask]:
+            assert int(s) in seen_supers
 
     def test_zero_noise_linear_instances_equal_mapped_descriptor(self):
         cfg = small_config(descriptor_noise=0.4, feature_noise=0.0, nonlinear=False)

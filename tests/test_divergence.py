@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cizsl.divergence import (DivergenceParams, batch_minmax_normalize,
-                              entropy_loss_batch, entropy_loss_le,
-                              minmax_bounds, minmax_gradient_scale,
-                              sm_divergence, sm_divergence_grads)
+from cizsl.divergence import (MODES, DivergenceParams, batch_minmax_normalize,
+                              entropy_loss_batch, minmax_bounds,
+                              minmax_gradient_scale, sm_divergence,
+                              sm_divergence_grads)
 from cizsl.errors import (DivergenceUndefinedError, InvalidConfigError,
                           InvalidInputError)
 from cizsl.numerics import RngStream, finite_diff_gradient, relative_error
@@ -237,6 +237,11 @@ class TestGradients:
         assert abs(db - fd_b) < 5e-2 * max(1.0, abs(fd_b))
 
 
+def entropy_loss(p, params):
+    """The entropy loss of one distribution, through the batch entry point."""
+    return float(entropy_loss_batch(np.array([p], dtype=np.float64), params)[0][0])
+
+
 class TestEntropyLoss:
     def test_uniform_input_is_zero_for_every_mode(self):
         p = np.full(6, 1.0 / 6.0)
@@ -244,10 +249,10 @@ class TestEntropyLoss:
                        DivergenceParams(mode="renyi", gamma=2.0, beta=1.0),
                        DivergenceParams(mode="tsallis", gamma=0.8, beta=0.8),
                        DivergenceParams(mode="sharma-mittal", gamma=2.0, beta=0.5)):
-            assert abs(entropy_loss_le(p, params)) < 1e-12
+            assert abs(entropy_loss(p, params)) < 1e-12
 
     def test_one_hot_kl_is_log_k(self):
-        val = entropy_loss_le([1.0, 0.0, 0.0, 0.0], KL)
+        val = entropy_loss([1.0, 0.0, 0.0, 0.0], KL)
         assert abs(val - math.log(4.0)) < 1e-12
 
     def test_nonuniform_strictly_positive(self):
@@ -258,28 +263,114 @@ class TestEntropyLoss:
                 continue
             for params in (KL, DivergenceParams(mode="sharma-mittal",
                                                 gamma=1.6, beta=0.7)):
-                assert entropy_loss_le(p, params) > 0.0
+                assert entropy_loss(p, params) > 0.0
 
     def test_zero_iff_uniform(self):
         rng = RngStream(9, 4)
         params = DivergenceParams(mode="sharma-mittal", gamma=2.0, beta=0.5)
         for _ in range(200):
             p = rand_simplex(rng, 4)
-            val = entropy_loss_le(p, params)
+            val = entropy_loss(p, params)
             if val < 1e-9:
                 np.testing.assert_allclose(p, 0.25, atol=1e-4)
 
     def test_needs_two_classes(self):
         with pytest.raises(InvalidInputError):
-            entropy_loss_le([1.0], KL)
+            entropy_loss([1.0], KL)
 
     def test_batch_matches_scalar(self):
         rng = RngStream(10, 5)
         params = DivergenceParams(mode="sharma-mittal", gamma=1.4, beta=0.2)
         probs = np.array([rand_simplex(rng, 5) for _ in range(6)])
         values, _, _, _ = entropy_loss_batch(probs, params)
+        uniform = np.full(5, 0.2)
         for i in range(6):
-            assert abs(values[i] - entropy_loss_le(probs[i], params)) < 1e-12
+            assert abs(values[i] - sm_divergence(probs[i], uniform, params)) < 1e-12
+
+
+class TestMembers:
+    """The named modes are the family at pinned (gamma, beta)."""
+
+    def test_pins_hold_on_construction_and_replace(self):
+        assert DivergenceParams(mode="renyi", beta=0.3).beta == 1.0
+        ts = DivergenceParams(mode="tsallis", gamma=1.6, beta=0.2)
+        assert ts.beta == 1.6
+        assert replace(ts, gamma=2.5).beta == 2.5
+        assert replace(ts, beta=0.7).beta == 1.6
+        kl = DivergenceParams(mode="kl", gamma=3.0, beta=0.2)
+        assert (kl.gamma, kl.beta) == (1.0, 1.0)
+        assert (replace(kl, gamma=2.0).gamma, replace(kl, beta=2.0).beta) == (1.0, 1.0)
+        bh = replace(BHAT, gamma=2.0, beta=0.3)
+        assert (bh.gamma, bh.beta) == (0.5, 1.0)
+        sm = DivergenceParams(mode="sharma-mittal", gamma=1.3, beta=0.2)
+        assert (sm.gamma, sm.beta) == (1.3, 0.2)
+
+    @pytest.mark.parametrize("mode,gamma", [
+        ("kl", 1.0), ("renyi", 2.3), ("renyi", 0.4), ("tsallis", 1.7),
+        ("tsallis", 0.6), ("tsallis", 1.0004), ("bhattacharyya", 0.5)])
+    def test_each_member_equals_the_family_at_its_pins(self, mode, gamma):
+        rng = RngStream(41, 7)
+        probs = np.array([rand_simplex(rng, 5) for _ in range(8)])
+        member = DivergenceParams(mode=mode, gamma=gamma)
+        family = DivergenceParams(mode="sharma-mittal", gamma=member.gamma,
+                                  beta=member.beta)
+        value, dp, _, _ = entropy_loss_batch(probs, member)
+        fam_value, fam_dp, _, _ = entropy_loss_batch(probs, family)
+        if mode in ("kl", "renyi"):
+            np.testing.assert_array_equal(value, fam_value)
+            np.testing.assert_array_equal(dp, fam_dp)
+        else:
+            scale = 0.5 if mode == "bhattacharyya" else 1.0
+            np.testing.assert_allclose(value, scale * fam_value, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(dp, scale * fam_dp, rtol=1e-12, atol=0)
+        # the textbook closed forms, evaluated directly
+        q = 0.2
+        if mode == "tsallis" and abs(gamma - 1.0) > 0.01:
+            terms = probs ** gamma * q ** (1.0 - gamma)
+            np.testing.assert_allclose(value, (terms.sum(axis=1) - 1.0) / (gamma - 1.0),
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(dp, terms / probs * gamma / (gamma - 1.0),
+                                       rtol=1e-12, atol=0)
+        if mode == "bhattacharyya":
+            bc = np.sqrt(probs * q).sum(axis=1)
+            np.testing.assert_allclose(value, -np.log(bc), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(dp, -0.5 * np.sqrt(q / probs) / bc[:, None],
+                                       rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_pinned_partials_are_zero(self, mode):
+        rng = RngStream(42, 8)
+        probs = np.array([rand_simplex(rng, 4) for _ in range(5)])
+        params = DivergenceParams(mode=mode, gamma=1.8, beta=0.3)
+        _, _, dg, db = entropy_loss_batch(probs, params)
+        for name, partial in (("gamma", dg), ("beta", db)):
+            if name in params.free:
+                assert np.all(partial != 0.0)
+            else:
+                assert np.all(partial == 0.0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_matches_finite_differences(self, mode):
+        rng = RngStream(43, MODES.index(mode))
+        params = DivergenceParams(mode=mode, gamma=1.8, beta=0.3).validate()
+        p, q = rand_simplex(rng, 5), rand_simplex(rng, 5)
+        assert abs(sm_divergence(p, p, params)) < 1e-12
+        dp, partials = sm_divergence_grads(p, q, params)
+
+        def val_of_raw(raw):
+            return sm_divergence(np.abs(raw) / np.abs(raw).sum(), q, params)
+
+        fd_raw = finite_diff_gradient(val_of_raw, p.copy(), 1e-6)
+        s = p.sum()
+        jac = (np.eye(5) * s - np.outer(p, np.ones(5))) / s ** 2
+        assert relative_error(jac.T @ dp, fd_raw) < 1e-4
+        for name, partial in zip(("gamma", "beta"), partials):
+            if name not in params.free:
+                continue
+            fd = finite_diff_gradient(
+                lambda v: sm_divergence(p, q, replace(params, **{name: float(v[0])})),
+                np.array([getattr(params, name)]), 1e-6)
+            assert relative_error(np.array([partial]), fd) < 1e-4
 
 
 class TestMinMaxNormalize:

@@ -1,6 +1,9 @@
 import dataclasses
 import importlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +256,17 @@ class TestCrossValidation:
             del os.environ["CIZSL_THREADS"]
         assert best_seq == best_par
         assert rows_seq == rows_par
+
+    def test_cli_import_leaves_out_the_process_pool(self):
+        # only a parallel sweep imports concurrent.futures.process
+        src = str(Path(cizsl_train.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cizsl.cli; print('concurrent.futures.process' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path}).stdout
+        assert out.strip() == "False"
 
     @pytest.mark.parametrize("raw", ["", " 1 "])
     def test_empty_or_one_thread_runs_sequentially(self, monkeypatch, raw):
