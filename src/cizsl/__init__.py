@@ -11,6 +11,6 @@ from .net import (Discriminator, DiscriminatorArch, Generator, GeneratorArch,
                   MlpNetwork, build_discriminator, build_generator,
                   load_checkpoint, save_checkpoint)
 from .numerics import AdamState, RngStream, adam_init, adam_step, finite_diff_gradient, softmax
-from .train import TrainConfig, TrainedModel, cross_validate_lambda, train
+from .train import TrainConfig, TrainedModel, cross_validate_lambda, train, train_lockstep
 
 __version__ = "0.1.0"

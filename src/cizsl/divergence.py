@@ -198,9 +198,12 @@ def _checked_pair(p, q, params: DivergenceParams):
     params.validate()
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
+    if p.ndim != 1 or q.ndim != 1:
+        raise InvalidInputError(
+            f"p and q must be 1-D distributions, got shapes {p.shape} and {q.shape}")
     if p.shape != q.shape:
         raise InvalidInputError(f"p and q length mismatch: {p.shape} vs {q.shape}")
-    if p.shape[-1] < 2:
+    if p.size < 2:
         raise InvalidInputError("distributions need at least 2 entries")
     if np.any(p < -1e-12):
         raise InvalidInputError("p has negative entries")
@@ -226,16 +229,20 @@ def sm_divergence_grads(p, q, params: DivergenceParams):
     return dp[0], (float(dg[0]), float(db[0]))
 
 
-def entropy_loss_batch(probs: np.ndarray, params: DivergenceParams):
+def entropy_loss_batch(probs: np.ndarray, params: DivergenceParams,
+                       check_input: bool = True):
     """Divergence of each softmax row from the uniform distribution: zero
     exactly when the row is uniform, strictly positive otherwise.
 
     Returns (values (n,), d/dprobs (n, K), d/dgamma (n,), d/dbeta (n,)).
+    `check_input=False` skips validating `params` and the batch shape, for
+    callers that validated them once up front (the training loop).
     """
-    params.validate()
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[1] < 2:
-        raise InvalidInputError("expected a batch of distributions over >= 2 classes")
+    if check_input:
+        params.validate()
+        if probs.ndim != 2 or probs.shape[1] < 2:
+            raise InvalidInputError("expected a batch of distributions over >= 2 classes")
     q = np.full_like(probs, 1.0 / probs.shape[1])
     return _sm_batch(probs, q, params)
 

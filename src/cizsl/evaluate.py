@@ -78,6 +78,14 @@ def _distances(features: np.ndarray, centers: np.ndarray, metric: str) -> np.nda
     return np.subtract(1.0, out, out=out)
 
 
+def _nearest(features: np.ndarray, centers: np.ndarray, metric: str):
+    """Each row's nearest center (ties to the smaller index) and its distance,
+    from one pass over a contiguous distance block that is freed on return."""
+    d = _distances(features, centers, metric)
+    nearest = d.argmin(axis=1)
+    return nearest, np.take_along_axis(d, nearest[:, None], axis=1)[:, 0]
+
+
 def _class_positions(labels: np.ndarray, class_ids: np.ndarray) -> np.ndarray:
     """Each row's index in the sorted `class_ids`, or `class_ids.size` for
     rows labelled with another class."""
@@ -143,7 +151,7 @@ def seen_unseen_curve(features: np.ndarray, labels: np.ndarray,
                       metric: str = "l2") -> SeenUnseenCurve:
     """The exact seen/unseen curve (Chao et al. 2016) and its area.
 
-    One distance matrix over all centers gives each row its nearest seen
+    One distance block per population gives each row its nearest seen
     class at distance d_s and its nearest unseen class at d_u (ties to the
     smaller id). At calibration c a row predicts its seen class iff
     c <= d_u - d_s. Each group of rows with equal thresholds moves the curve
@@ -151,7 +159,7 @@ def seen_unseen_curve(features: np.ndarray, labels: np.ndarray,
     the vertices are the anchors and the points where that kind changes or
     a diagonal move starts or ends, each at the threshold of the move that
     leaves it. Accuracies come from integer per-class hit counts, so row
-    order does not matter; memory beyond the distance matrix is
+    order does not matter; memory beyond the larger distance block is
     O(N + vertices * classes). Rows of neither population are ignored.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
@@ -170,13 +178,11 @@ def seen_unseen_curve(features: np.ndarray, labels: np.ndarray,
     col = np.where(is_seen, seen_pos, n_seen + unseen_pos)
     n_cols = n_seen + unseen_ids.size + 1
 
-    d = _distances(features, np.concatenate([seen_centers.centers,
-                                             unseen_centers.centers]), metric)
-    seen_hit = seen_ids[d[:, :n_seen].argmin(axis=1)] == labels
-    unseen_hit = unseen_ids[d[:, n_seen:].argmin(axis=1)] == labels
-    thresholds, group = np.unique(d[:, n_seen:].min(axis=1) - d[:, :n_seen].min(axis=1),
-                                  return_inverse=True)
-    del d  # the sweep needs O(N + vertices * classes) memory
+    seen_nearest, d_s = _nearest(features, seen_centers.centers, metric)
+    unseen_nearest, d_u = _nearest(features, unseen_centers.centers, metric)
+    seen_hit = seen_ids[seen_nearest] == labels
+    unseen_hit = unseen_ids[unseen_nearest] == labels
+    thresholds, group = np.unique(d_u - d_s, return_inverse=True)
     # state j has the first j groups flipped to unseen. Ids are disjoint, so
     # a flip can only lose a seen hit (down) or gain an unseen hit (right):
     # kind 1, 2, or 3 for both

@@ -7,6 +7,14 @@ parameter vector of a network concatenates each layer's weights (row-major)
 followed by its bias, in layer order. Each network stores its parameters in
 one contiguous float64 buffer in that order (`params`); layer weights and
 biases are views into it.
+
+Model axis: `stack` joins B models of one architecture into one network
+whose `params` has shape (B, n). A stack takes and returns rows of shape
+(B, rows, dim), one block per model, and makes every product one
+`np.matmul` over the B blocks. The joined models become views of their rows
+(the stack's `members`) and keep the single-model shapes: (n,) parameters
+and 2-D rows. A single model runs the same code as a stack of one, and its
+methods also take rows with a leading model axis of 1.
 """
 from __future__ import annotations
 
@@ -27,23 +35,30 @@ HIDDEN_SLOPE = 0.2
 
 
 def _act(name: str, z: np.ndarray, slope: float) -> np.ndarray:
-    if name == "identity":
-        return z
+    """The activation of the pre-activations `z`, computed in place."""
     if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "leaky_relu":
-        return np.where(z > 0.0, z, slope * z)
-    raise InvalidInputError(f"unknown activation {name!r}")
+        np.maximum(z, 0.0, out=z)
+    elif name == "leaky_relu":
+        # equal to where(z > 0, z, slope * z) for slopes in [0, 1], signed
+        # zeros and NaN included, without the mask and its copies
+        np.maximum(z, slope * z, out=z)
+    return z
 
 
-def _act_d(name: str, z: np.ndarray, slope: float):
-    """Derivative at `z` (identity's is the scalar 1). Every activation is
-    piecewise linear, so no sweep needs a second derivative."""
+def _act_d(name: str, h: np.ndarray, slope: float):
+    """Derivative at the pre-activation, read from the layer output `h`:
+    relu and leaky relu (slope in [0, 1]) are positive exactly where their
+    input is. Identity's is the scalar 1. Every activation is piecewise
+    linear, so no sweep needs a second derivative."""
     if name == "identity":
         return 1.0
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    return np.where(z > 0.0, 1.0, slope)
+        return (h > 0.0).astype(np.float64)
+    # 1 where h > 0, else the slope: (1 - slope) + slope rounds to exactly 1
+    # for every slope in [0, 1], and the mask costs less than np.where
+    d = (h > 0.0) * (1.0 - slope)
+    d += slope
+    return d
 
 
 @dataclass
@@ -61,30 +76,39 @@ class Layer:
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
             raise InvalidInputError(
                 f"layer shape mismatch: weight {self.weight.shape}, bias {self.bias.shape}")
+        if self.activation == "leaky_relu" and not 0.0 <= self.slope <= 1.0:
+            raise InvalidInputError(f"leaky-relu slope must be in [0, 1], got {self.slope}")
 
 
 @dataclass
 class MlpCache:
-    """Each layer's input `hs[i]` (the output last) and pre-activation `zs[i]`;
-    the sweeps share the activation derivatives `ds`, computed on first use."""
+    """Each layer's input `hs[i]` (the output last), as (B, rows, dim)
+    stacks; the sweeps share the activation derivatives `ds`, computed on
+    first use from the layer outputs. `single` records that the forward rows
+    came without a model axis, so the sweeps return rows without one."""
 
     hs: list[np.ndarray]
-    zs: list[np.ndarray]
     version: int
+    single: bool = False
     ds: list | None = None
 
     @property
     def x(self) -> np.ndarray:
-        return self.hs[0]
+        """The input rows of all models, as one (B * rows, dim) matrix."""
+        return self.hs[0].reshape(-1, self.hs[0].shape[-1])
 
     def rows(self, sel: slice) -> "MlpCache":
-        """The cache of the forward pass over the rows `sel` alone."""
-        return MlpCache(hs=[h[sel] for h in self.hs], zs=[z[sel] for z in self.zs],
-                        version=self.version)
+        """The cache of the forward pass over the rows `sel` of each model alone."""
+        return MlpCache(hs=[h[:, sel] for h in self.hs], version=self.version,
+                        single=self.single)
+
+
+def _architecture(net: "MlpNetwork") -> list:
+    return [(l.weight.shape, l.activation, l.slope) for l in net.layers]
 
 
 class MlpNetwork:
-    """A plain fully-connected network over float64 rows."""
+    """A plain fully-connected network over float64 rows, or a stack of them."""
 
     def __init__(self, layers: list[Layer]):
         if not layers:
@@ -94,26 +118,54 @@ class MlpNetwork:
                 raise InvalidInputError(
                     f"layer dims do not chain: {a.weight.shape} -> {b.weight.shape}")
         self.layers = layers
-        self._version = 0
+        self.members = None
+        self._clock = [0]
         self._bind(np.empty(sum(l.weight.size + l.bias.size for l in layers)))
 
-    def _views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(weight, bias) views of each layer's slice of a parameter-sized vector."""
-        views, i = [], 0
+    @classmethod
+    def stack(cls, nets) -> "MlpNetwork":
+        """One network of the models `nets`, which share an architecture.
+        Each of `nets` becomes a view of its row of the stack's (B, n)
+        `params`; a stack's `layers` are its first member's."""
+        nets = list(nets)
+        if not nets:
+            raise InvalidInputError("a stack needs at least one network")
+        if any(_architecture(n) != _architecture(nets[0]) for n in nets[1:]):
+            raise InvalidInputError("stacked networks must share one architecture")
+        net = cls.__new__(cls)
+        net.layers, net.members, net._clock = nets[0].layers, nets, [0]
+        net._bind(np.empty((len(nets), nets[0].n_params)))
+        return net
+
+    def _views(self, stack: np.ndarray):
+        """(B, out, in) weight and (B, out) bias views of each layer's slice of
+        a (B, n) parameter-sized array."""
+        weights, biases, i = [], [], 0
         for l in self.layers:
             n_out, n_in = l.weight.shape
             j = i + n_out * n_in
-            views.append((flat[i:j].reshape(n_out, n_in), flat[j:j + n_out]))
+            weights.append(stack[:, i:j].reshape(-1, n_out, n_in))
+            biases.append(stack[:, j:j + n_out])
             i = j + n_out
-        return views
+        return weights, biases
 
     def _bind(self, params: np.ndarray) -> None:
-        """Copy the parameters into `params` and make the layers views of it."""
-        for l, (w, b) in zip(self.layers, self._views(params)):
-            w[...] = l.weight
-            b[...] = l.bias
-            l.weight, l.bias = w, b
-        self.params = params
+        """Move the parameters into `params`, of shape (n,) for one model or
+        (B, n) for a stack, and make the layer views of it."""
+        stack = params.reshape(-1, params.shape[-1])
+        weights, biases = self._views(stack)
+        if self.members is None:
+            for l, w, b in zip(self.layers, weights, biases):
+                w[0] = l.weight
+                b[0] = l.bias
+                l.weight, l.bias = w[0], b[0]
+        else:
+            for member, row in zip(self.members, params):
+                member._bind(row)
+                member._clock = self._clock
+        self.params, self._stack = params, stack
+        self._w, self._b = weights, biases
+        self._wt = [w.transpose(0, 2, 1) for w in weights]
 
     @property
     def in_dim(self) -> int:
@@ -125,7 +177,8 @@ class MlpNetwork:
 
     @property
     def n_params(self) -> int:
-        return self.params.size
+        """Parameters per model."""
+        return self.params.shape[-1]
 
     def param_vector(self) -> np.ndarray:
         return self.params.copy()
@@ -135,68 +188,77 @@ class MlpNetwork:
         self.params_changed()
 
     def params_changed(self) -> None:
-        """Record an in-place write to `params`: older forward caches go stale."""
-        self._version += 1
+        """Record an in-place write to `params`: older forward caches go stale,
+        those of the stack and of its members alike."""
+        self._clock[0] += 1
+
+    def _lift(self, a: np.ndarray, dim: int, what: str) -> np.ndarray:
+        """Rows as a (B, rows, dim) stack. A stack takes (B, rows, dim); a
+        single model also takes (rows, dim) and one row (dim,)."""
+        n_models = self._stack.shape[0]
+        if (a.ndim == 3 and a.shape[0] == n_models
+                or self.members is None and a.ndim in (1, 2)) and a.shape[-1] == dim:
+            return a.reshape(n_models, -1, dim)
+        raise InvalidInputError(
+            f"{what} has shape {a.shape}; the network expects rows of dim {dim}"
+            + (f" for each of its {n_models} models" if self.members is not None else ""))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.forward_cached(x)[0]
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
         x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        h = np.atleast_2d(x)
-        if h.shape[1] != self.in_dim:
-            raise InvalidInputError(
-                f"input has dim {h.shape[1]}, network expects {self.in_dim}")
-        hs, zs = [h], []
-        for l in self.layers:
-            zs.append(h @ l.weight.T + l.bias)
-            h = _act(l.activation, zs[-1], l.slope)
-            hs.append(h)
-        cache = MlpCache(hs=hs, zs=zs, version=self._version)
-        return (h[0] if squeeze else h), cache
+        h = self._lift(x, self.in_dim, "input")
+        hs = [h]
+        for l, wt, b in zip(self.layers, self._wt, self._b):
+            h = np.matmul(h, wt)
+            h += b[:, None]
+            hs.append(_act(l.activation, h, l.slope))
+        cache = MlpCache(hs=hs, version=self._clock[0], single=x.ndim < 3)
+        return h.reshape(x.shape[:-1] + h.shape[-1:]), cache
 
     def _derivatives(self, cache: MlpCache) -> list:
         """The activation derivatives of a current cache of this network."""
-        if cache.version != self._version:
+        if cache.version != self._clock[0]:
             raise InvalidStateError(
                 "forward cache is stale: parameters changed since the forward pass")
-        if len(cache.zs) != len(self.layers):
+        if len(cache.hs) != len(self.layers) + 1:
             raise InvalidStateError("forward cache does not match this network")
         if cache.ds is None:
-            cache.ds = [_act_d(l.activation, z, l.slope)
-                        for l, z in zip(self.layers, cache.zs)]
+            cache.ds = [_act_d(l.activation, h, l.slope)
+                        for l, h in zip(self.layers, cache.hs[1:])]
         return cache.ds
 
     def backward(self, cache: MlpCache, d_out: np.ndarray,
                  out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Exact gradients of sum(d_out * output) w.r.t. parameters and input.
 
-        The parameter gradient is written into `out` when given.
+        The parameter gradient is written into `out` when given; the input
+        gradient has the layout of `d_out`.
         """
         ds = self._derivatives(cache)
-        d = np.atleast_2d(np.asarray(d_out, dtype=np.float64))
-        if d.shape != cache.hs[-1].shape:
+        d_out = np.asarray(d_out, dtype=np.float64)
+        if d_out.shape[-1:] != (self.out_dim,) or d_out.size != cache.hs[-1].size:
             raise InvalidStateError(
-                f"output gradient shape {d.shape} does not match cached output "
+                f"output gradient shape {d_out.shape} does not match cached output "
                 f"{cache.hs[-1].shape}")
-        flat = np.empty(self.n_params) if out is None else out
-        grads = self._views(flat)
+        d = d_out.reshape(cache.hs[-1].shape)
+        flat = np.empty(self.params.shape) if out is None else out
+        grad_w, grad_b = self._views(flat.reshape(self._stack.shape))
         for i in range(len(self.layers) - 1, -1, -1):
             dz = d * ds[i]
-            np.matmul(dz.T, cache.hs[i], out=grads[i][0])
-            dz.sum(axis=0, out=grads[i][1])
-            d = dz @ self.layers[i].weight
-        d_in = d[0] if np.asarray(d_out).ndim == 1 else d
-        return flat, d_in
+            np.matmul(dz.transpose(0, 2, 1), cache.hs[i], out=grad_w[i])
+            dz.sum(axis=1, out=grad_b[i])
+            d = np.matmul(dz, self._w[i])
+        return flat, d.reshape(d_out.shape[:-1] + d.shape[-1:])
 
     def input_grad_rows(self, cache: MlpCache, select: np.ndarray) -> np.ndarray:
         """Per-row gradient of <select, output> w.r.t. the input rows."""
         ds = self._derivatives(cache)
         u = np.broadcast_to(select, cache.hs[-1].shape)
-        for l, d in zip(reversed(self.layers), reversed(ds)):
-            u = (u * d) @ l.weight
-        return u
+        for w, d in zip(reversed(self._w), reversed(ds)):
+            u = np.matmul(u * d, w)
+        return u[0] if cache.single else u
 
     def grad_of_input_grad(self, cache: MlpCache, select: np.ndarray,
                            v: np.ndarray) -> np.ndarray:
@@ -208,17 +270,17 @@ class MlpNetwork:
         pre-activation times its input tangent, and its bias gradient is zero.
         """
         ds = self._derivatives(cache)
-        h_dot = [np.atleast_2d(np.asarray(v, dtype=np.float64))]
-        for l, d in zip(self.layers[:-1], ds):
-            h_dot.append(d * (h_dot[-1] @ l.weight.T))
-        flat = np.zeros(self.n_params)
-        grads = self._views(flat)
+        h_dot = [self._lift(np.asarray(v, dtype=np.float64), self.in_dim, "tangent")]
+        for wt, d in zip(self._wt[:-1], ds):
+            h_dot.append(d * np.matmul(h_dot[-1], wt))
+        flat = np.zeros(self.params.shape)
+        grad_w, _ = self._views(flat.reshape(self._stack.shape))
         bar = np.broadcast_to(select, cache.hs[-1].shape)
         for i in range(len(self.layers) - 1, -1, -1):
             bar = bar * ds[i]
-            np.matmul(bar.T, h_dot[i], out=grads[i][0])
+            np.matmul(bar.transpose(0, 2, 1), h_dot[i], out=grad_w[i])
             if i:
-                bar = bar @ self.layers[i].weight
+                bar = np.matmul(bar, self._w[i])
         return flat
 
 
@@ -265,19 +327,37 @@ class GeneratorCache:
 
 
 class Generator:
-    """Conditional feature generator x = G(t, z)."""
+    """Conditional feature generator x = G(t, z), or a stack of them."""
 
     def __init__(self, embed: MlpNetwork, trunk: MlpNetwork, noise_dim: int):
         if embed.out_dim + noise_dim != trunk.in_dim:
             raise InvalidInputError(
                 f"embed out {embed.out_dim} + noise {noise_dim} != trunk in {trunk.in_dim}")
+        if embed.params.shape[:-1] != trunk.params.shape[:-1]:
+            raise InvalidInputError("embed and trunk must hold the same models")
         self.embed = embed
         self.trunk = trunk
         self.noise_dim = noise_dim
-        # one buffer: embed parameters, then trunk parameters
-        self.params = np.empty(embed.n_params + trunk.n_params)
-        embed._bind(self.params[:embed.n_params])
-        trunk._bind(self.params[embed.n_params:])
+        self.members = None
+        # one buffer: embed parameters, then trunk parameters (per model)
+        ne = embed.n_params
+        self.params = np.empty(embed.params.shape[:-1] + (ne + trunk.n_params,))
+        embed._bind(self.params[..., :ne])
+        trunk._bind(self.params[..., ne:])
+
+    @classmethod
+    def stack(cls, gens) -> "Generator":
+        """One generator of the models `gens` (see `MlpNetwork.stack`)."""
+        gens = list(gens)
+        if any(g.noise_dim != gens[0].noise_dim for g in gens):
+            raise InvalidInputError("stacked generators must share one noise dim")
+        gen = cls(embed=MlpNetwork.stack([g.embed for g in gens]),
+                  trunk=MlpNetwork.stack([g.trunk for g in gens]),
+                  noise_dim=gens[0].noise_dim)
+        for g, row in zip(gens, gen.params):
+            g.params = row
+        gen.members = gens
+        return gen
 
     @property
     def text_dim(self) -> int:
@@ -289,7 +369,8 @@ class Generator:
 
     @property
     def n_params(self) -> int:
-        return self.params.size
+        """Parameters per model."""
+        return self.params.shape[-1]
 
     def param_vector(self) -> np.ndarray:
         return self.params.copy()
@@ -308,26 +389,21 @@ class Generator:
     def forward_cached(self, t: np.ndarray, z: np.ndarray):
         t = np.asarray(t, dtype=np.float64)
         z = np.asarray(z, dtype=np.float64)
-        squeeze = t.ndim == 1
-        t2, z2 = np.atleast_2d(t), np.atleast_2d(z)
-        if z2.shape != (t2.shape[0], self.noise_dim):
+        if z.shape != t.shape[:-1] + (self.noise_dim,):
             raise InvalidInputError(
-                f"noise shape {z.shape} does not match batch {t2.shape[0]} x {self.noise_dim}")
-        e, e_cache = self.embed.forward_cached(t2)
-        h = np.concatenate([e, z2], axis=1)
-        x, t_cache = self.trunk.forward_cached(h)
-        cache = GeneratorCache(embed=e_cache, trunk=t_cache)
-        return (x[0] if squeeze else x), cache
+                f"noise shape {z.shape} does not match batch {t.shape[:-1]} x {self.noise_dim}")
+        e, e_cache = self.embed.forward_cached(t)
+        x, t_cache = self.trunk.forward_cached(np.concatenate([e, z], axis=-1))
+        return x, GeneratorCache(embed=e_cache, trunk=t_cache)
 
     def backward(self, cache: GeneratorCache, d_out: np.ndarray):
         """Gradients of sum(d_out * output): (flat params, d_t, d_z)."""
-        d = np.atleast_2d(np.asarray(d_out, dtype=np.float64))
-        flat = np.empty(self.n_params)
+        flat = np.empty(self.params.shape)
         ne = self.embed.n_params
-        _, d_h = self.trunk.backward(cache.trunk, d, out=flat[ne:])
+        _, d_h = self.trunk.backward(cache.trunk, d_out, out=flat[..., ne:])
         e_dim = self.embed.out_dim
-        _, d_t = self.embed.backward(cache.embed, d_h[:, :e_dim], out=flat[:ne])
-        return flat, d_t, d_h[:, e_dim:]
+        _, d_t = self.embed.backward(cache.embed, d_h[..., :e_dim], out=flat[..., :ne])
+        return flat, d_t, d_h[..., e_dim:]
 
 
 def build_generator(arch: GeneratorArch, rng: RngStream) -> Generator:
@@ -364,7 +440,8 @@ class DiscriminatorArch:
 
 
 class Discriminator:
-    """Two-headed critic: raw realness score plus seen-class logits."""
+    """Two-headed critic: raw realness score plus seen-class logits, or a
+    stack of them."""
 
     def __init__(self, net: MlpNetwork, n_classes: int):
         if net.out_dim != 1 + n_classes:
@@ -372,9 +449,19 @@ class Discriminator:
                 f"head layer width {net.out_dim} != 1 + {n_classes} classes")
         self.net = net
         self.n_classes = n_classes
+        self.members = None
         # selects the critic unit when differentiating w.r.t. the input
         self._real_select = np.zeros(net.out_dim)
         self._real_select[0] = 1.0
+
+    @classmethod
+    def stack(cls, discs) -> "Discriminator":
+        """One critic of the models `discs` (see `MlpNetwork.stack`)."""
+        discs = list(discs)
+        disc = cls(net=MlpNetwork.stack([d.net for d in discs]),
+                   n_classes=discs[0].n_classes)
+        disc.members = discs
+        return disc
 
     @property
     def input_dim(self) -> int:
@@ -399,18 +486,16 @@ class Discriminator:
 
     def forward_cached(self, x: np.ndarray):
         x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        out, cache = self.net.forward_cached(np.atleast_2d(x))
-        real, logits = out[:, 0], out[:, 1:]
-        if squeeze:
-            return (float(real[0]), logits[0]), cache
+        out, cache = self.net.forward_cached(x)
+        real, logits = out[..., 0], out[..., 1:]
+        if x.ndim == 1:
+            return (float(real), logits), cache
         return (real, logits), cache
 
     def backward(self, cache: MlpCache, d_real: np.ndarray, d_logits: np.ndarray):
         """Gradients of sum(d_real * real + d_logits * logits): (flat, d_x)."""
-        d_real = np.atleast_1d(np.asarray(d_real, dtype=np.float64))
-        d_logits = np.atleast_2d(np.asarray(d_logits, dtype=np.float64))
-        d_out = np.concatenate([d_real[:, None], d_logits], axis=1)
+        d_real = np.asarray(d_real, dtype=np.float64)
+        d_out = np.concatenate([d_real[..., None], d_logits], axis=-1)
         return self.net.backward(cache, d_out)
 
 
@@ -429,18 +514,20 @@ def gradient_penalty(disc: Discriminator, cache: MlpCache):
     parameters. The cache may be a row slice (`MlpCache.rows`) of a larger
     stacked forward; a standalone caller passes `disc.net.forward_cached(x)[1]`.
 
-    Returns (mean penalty, flat parameter gradient, per-row penalties).
+    Returns (mean penalty, flat parameter gradient, per-row penalties); for
+    a cache of per-model rows, the mean is one value per model.
     If a row's input gradient vanishes exactly, its penalty is 1 and the norm
     term's gradient is taken as zero there (documented subgradient choice).
     """
     g = disc.net.input_grad_rows(cache, disc._real_select)
-    norms = np.linalg.norm(g, axis=1)
+    norms = np.linalg.norm(g, axis=-1)
     penalties = (norms - 1.0) ** 2
     scale = np.divide(2.0 * (norms - 1.0), norms, out=np.zeros_like(norms),
-                      where=norms > 0.0) / norms.size
-    v = g * scale[:, None]
+                      where=norms > 0.0) / norms.shape[-1]
+    v = g * scale[..., None]
     grad = disc.net.grad_of_input_grad(cache, disc._real_select, v)
-    return float(penalties.mean()), grad, penalties
+    mean = penalties.mean(axis=-1)
+    return (float(mean) if cache.single else mean), grad, penalties
 
 
 # --------------------------------------------------------------------------
@@ -466,6 +553,8 @@ def _net_header(net: MlpNetwork) -> bytes:
 
 
 def save_checkpoint(path, gen: Generator, disc: Discriminator) -> None:
+    if gen.members is not None or disc.members is not None:
+        raise InvalidInputError("a checkpoint holds one model: save each member of a stack")
     nets = [gen.embed, gen.trunk, disc.net]
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)

@@ -101,6 +101,13 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
         raise InvalidInputError("log_softmax of an empty vector")
     if not np.all(np.isfinite(z)):
         raise InvalidInputError("log_softmax input contains non-finite entries")
+    return _log_softmax(z)
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """`log_softmax` of a float64 array without the input checks, for logits
+    the package computed itself: non-finite logits give non-finite losses,
+    which the training loop's end-of-iteration check reports."""
     shifted = z - np.max(z, axis=-1, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
@@ -127,9 +134,11 @@ class AdamState:
     eps: float = 1e-8
 
 
-def adam_init(n_params: int, lr: float = 0.001, beta1: float = 0.5,
+def adam_init(shape, lr: float = 0.001, beta1: float = 0.5,
               beta2: float = 0.9, eps: float = 1e-8) -> AdamState:
-    return AdamState(m=np.zeros(n_params), v=np.zeros(n_params), step=0,
+    """Zero moments of the given shape: a parameter count, or (B, n) for a
+    stack of B models, which then share the step count."""
+    return AdamState(m=np.zeros(shape), v=np.zeros(shape), step=0,
                      lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
@@ -144,13 +153,22 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
             f"adam_step length mismatch: params {params.shape}, grad {grad.shape}, "
             f"moments {state.m.shape}")
     state.step += 1
+    # params -= lr * m_hat / (sqrt(v_hat) + eps), operation by operation in
+    # two work arrays, so stacks of models allocate no further temporaries
+    work = np.multiply(grad, 1.0 - state.beta1)
     state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
+    state.m += work
+    np.multiply(grad, 1.0 - state.beta2, out=work)
+    work *= grad
     state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.v += work
+    np.divide(state.v, 1.0 - state.beta2 ** state.step, out=work)
+    np.sqrt(work, out=work)
+    work += state.eps
+    update = np.divide(state.m, 1.0 - state.beta1 ** state.step)
+    update *= state.lr
+    update /= work
+    params -= update
 
 
 def finite_diff_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,

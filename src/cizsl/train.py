@@ -1,8 +1,10 @@
 """Alternating adversarial training: per loop, the hallucinated batch is
 built from interpolated seen-class descriptors, the critic takes `n_critic`
 Adam steps, then the generator and the divergence parameters each take one.
-Also hosts the balancing-weight cross-validation over a class-level
-train/validation split.
+The loop trains a stack of models in lockstep (`train_lockstep`); `train`
+is its one-model case. Also hosts the balancing-weight cross-validation
+over a class-level train/validation split, which trains its lambda grid as
+one stack.
 """
 from __future__ import annotations
 
@@ -119,115 +121,161 @@ def train(dataset: ZslDataset, config: TrainConfig,
 
     `snapshot_fn(iteration, generator, discriminator, divergence)` is called
     every `eval_interval` iterations (checkpointing, validation metrics).
+    This is `train_lockstep` with one model, so a model trained alone and
+    the same model trained in a lockstep grid are bit-identical.
     """
-    config.validate()
+    return train_lockstep(dataset, [config], [snapshot_fn])[0]
+
+
+_HISTORY = ("iteration", "loss_g", "loss_d", "mean_entropy", "gamma", "beta", "w_gap")
+
+
+def _draws(streams, seen_desc: np.ndarray, n_pool: int, config: TrainConfig):
+    """One model's random draws for one iteration, in each stream's order:
+    the hallucinated batch, every critic step's batch, the generator batch."""
+    noise_rng, alpha_rng, shuffle_rng, gp_rng = streams
+    m, n_critic, nz = config.batch_size, config.n_critic, config.noise_dim
+    t_h, _, _ = hallucinate_batch(seen_desc, shuffle_rng, alpha_rng, config.alpha_mode, m)
+    return (t_h, noise_rng.normal((m, nz)),
+            shuffle_rng.integers(0, n_pool, (n_critic, m)),
+            noise_rng.normal((n_critic * m, nz)),
+            gp_rng.uniform(0.0, 1.0, (n_critic, m)),
+            shuffle_rng.integers(0, seen_desc.shape[0], m),
+            noise_rng.normal((m, nz)))
+
+
+def train_lockstep(dataset: ZslDataset, configs, snapshot_fns=None) -> list[TrainedModel]:
+    """Train one model per config in one loop, all B models as one stack.
+
+    The configs may differ only in `lambda_creativity` and `seed`. Each
+    model keeps its own random streams, divergence parameters, Adam moments
+    and history, and every product runs once per step for all B models, so
+    each model is bit-identical to its solo `train` at a fraction of B
+    loops' per-call cost. `snapshot_fns[b]` (None to skip) is called as
+    `train`'s `snapshot_fn` with views of model b. A model whose losses or
+    divergence parameters turn non-finite stops the whole loop with a
+    TrainingDivergedError naming its lambda and iteration.
+    """
+    configs = list(configs)
+    if not configs:
+        raise InvalidInputError("lockstep training needs at least one config")
+    for c in configs:
+        c.validate()
+    config = configs[0]
+    if any(replace(c, lambda_creativity=0.0, seed=0)
+           != replace(config, lambda_creativity=0.0, seed=0) for c in configs):
+        raise InvalidConfigError(
+            "lockstep models may differ only in train.lambda_creativity and train.seed")
+    snapshot_fns = [None] * len(configs) if snapshot_fns is None else list(snapshot_fns)
+    if len(snapshot_fns) != len(configs):
+        raise InvalidInputError("need one snapshot function (or None) per config")
     seen_ids = np.sort(dataset.seen_class_ids)
     if seen_ids.size < 2:
         raise InvalidInputError("training needs at least 2 seen classes")
-    m = config.batch_size
+    m, n_critic = config.batch_size, config.n_critic
 
     seen_desc = np.array([dataset.descriptor_of(int(c)) for c in seen_ids])
-    seen_rows = np.isin(dataset.labels, seen_ids)
-    x_pool = dataset.features[seen_rows]
+    # the seen rows are read in place through their indices, not copied
+    pool = np.flatnonzero(np.isin(dataset.labels, seen_ids))
     id_to_index = {int(c): i for i, c in enumerate(seen_ids)}
-    y_pool = np.array([id_to_index[int(l)] for l in dataset.labels[seen_rows]])
+    y_pool = np.array([id_to_index[int(l)] for l in dataset.labels[pool]])
     centers = class_means(dataset, seen_ids)
 
-    root = RngStream(config.seed)
-    init_rng = root.substream(STREAM_INIT)
-    noise_rng = root.substream(STREAM_NOISE)
-    alpha_rng = root.substream(STREAM_ALPHA)
-    shuffle_rng = root.substream(STREAM_SHUFFLE)
-    gp_rng = root.substream(STREAM_GP)
-
     n_head = seen_ids.size + (1 if config.extra_class_for_hallucinated else 0)
-    gen = build_generator(GeneratorArch(
-        text_dim=dataset.text_dim, noise_dim=config.noise_dim,
-        output_dim=dataset.feature_dim, embed_dim=config.text_embed_dim,
-        hidden_dims=(config.hidden_dim,)), init_rng)
-    disc = build_discriminator(DiscriminatorArch(
-        input_dim=dataset.feature_dim, n_classes=n_head,
-        hidden_dims=(config.hidden_dim,)), init_rng)
-    div = config.divergence()
+    gen_arch = GeneratorArch(text_dim=dataset.text_dim, noise_dim=config.noise_dim,
+                             output_dim=dataset.feature_dim,
+                             embed_dim=config.text_embed_dim,
+                             hidden_dims=(config.hidden_dim,))
+    disc_arch = DiscriminatorArch(input_dim=dataset.feature_dim, n_classes=n_head,
+                                  hidden_dims=(config.hidden_dim,))
+    streams, gens, discs = [], [], []
+    for c in configs:
+        root = RngStream(c.seed)
+        init_rng = root.substream(STREAM_INIT)
+        gens.append(build_generator(gen_arch, init_rng))
+        discs.append(build_discriminator(disc_arch, init_rng))
+        streams.append([root.substream(s) for s in
+                        (STREAM_NOISE, STREAM_ALPHA, STREAM_SHUFFLE, STREAM_GP)])
+    gen, disc = Generator.stack(gens), Discriminator.stack(discs)
+    divs = [c.divergence() for c in configs]
+    lams = [c.lambda_creativity for c in configs]
 
     opt = dict(lr=config.learning_rate, beta1=config.adam_beta1, beta2=config.adam_beta2)
-    state_g = adam_init(gen.n_params, **opt)
-    state_d = adam_init(disc.n_params, **opt)
-    u = div.learnable_vector()
-    state_e = adam_init(u.size, **opt)
+    state_g = adam_init(gen.params.shape, **opt)
+    state_d = adam_init(disc.params.shape, **opt)
+    u = np.array([d.learnable_vector() for d in divs])
+    state_e = adam_init(u.shape, **opt)
 
-    hist = {k: [] for k in ("iteration", "loss_g", "loss_d", "mean_entropy",
-                            "gamma", "beta", "w_gap")}
+    hist = [{k: [] for k in _HISTORY} for _ in configs]
     use_creativity = config.creativity_enabled
     extra = config.extra_class_for_hallucinated
+    d_values = np.empty((len(configs), n_critic))
+    gaps = np.empty((len(configs), n_critic))
 
     for it in range(1, config.n_steps + 1):
         try:
-            t_h, _, _ = hallucinate_batch(seen_desc, shuffle_rng, alpha_rng,
-                                          config.alpha_mode, m)
-            z_h = noise_rng.normal((m, config.noise_dim))
-            # every critic step's draws at once, in each stream's order
-            idx = shuffle_rng.integers(0, x_pool.shape[0], (config.n_critic, m))
-            z = noise_rng.normal((config.n_critic * m, config.noise_dim))
-            eps = gp_rng.uniform(0.0, 1.0, (config.n_critic, m))
+            t_h, z_h, idx, z, eps, y_g, z_g = (
+                np.stack(a) for a in zip(*(_draws(s, seen_desc, pool.size, config)
+                                           for s in streams)))
             # G is frozen in the critic loop: one pass for all its fake rows
-            y = y_pool[idx]
-            t = seen_desc[y.ravel()]
+            y, x_rows = y_pool[idx], pool[idx]
+            t = seen_desc[y.reshape(len(configs), -1)]
             if extra:
-                t, z = np.concatenate([t, t_h]), np.concatenate([z, z_h])
+                t, z = np.concatenate([t, t_h], axis=1), np.concatenate([z, z_h], axis=1)
             x_gen = gen.forward(t, z)
-            x_h = x_gen[config.n_critic * m:] if extra else None
+            del t, z  # the critic loop holds only the generated rows
+            x_h = x_gen[:, n_critic * m:] if extra else None
 
-            d_losses, gaps = [], []
-            for k in range(config.n_critic):
-                res = discriminator_loss(disc, x_pool[idx[k]], y[k],
-                                         x_gen[k * m:(k + 1) * m], y[k],
-                                         config.gp_weight, eps[k], extra_class=extra,
-                                         x_h=x_h)
+            for k in range(n_critic):
+                res = discriminator_loss(disc, dataset.features[x_rows[:, k]], y[:, k],
+                                         x_gen[:, k * m:(k + 1) * m], y[:, k],
+                                         config.gp_weight, eps[:, k], extra_class=extra,
+                                         x_h=x_h, check_input=False)
                 adam_step(disc.params, res.grad_disc, state_d)
                 disc.net.params_changed()
-                d_losses.append(res.value)
-                gaps.append(res.parts["wasserstein_gap"])
+                d_values[:, k] = res.value
+                gaps[:, k] = res.parts["wasserstein_gap"]
 
-            y_g = shuffle_rng.integers(0, seen_ids.size, m)
-            t_g = seen_desc[y_g]
-            z_g = noise_rng.normal((m, config.noise_dim))
-            res_g = generator_loss(gen, disc, t_g, y_g, z_g, t_h, z_h,
-                                   config.lambda_creativity, div, centers,
-                                   creativity_enabled=use_creativity, extra_class=extra)
+            res_g = generator_loss(gen, disc, seen_desc[y_g], y_g, z_g, t_h, z_h,
+                                   lams, divs, centers, creativity_enabled=use_creativity,
+                                   extra_class=extra, check_input=False)
             adam_step(gen.params, res_g.grad_gen, state_g)
             gen.params_changed()
 
-            if u.size and use_creativity:
-                grad_u = div.learnable_gradient(*res_g.grad_divergence)
+            if u.shape[1] and use_creativity:
+                grad_u = np.array([d.learnable_gradient(*g)
+                                   for d, g in zip(divs, res_g.grad_divergence)])
                 adam_step(u, grad_u, state_e)
-                div = div.with_learnable_vector(u)
-        except (InvalidInputError, FloatingPointError, OverflowError) as e:
-            # all loop inputs are machine-generated, so a rejected value here
-            # means the optimization blew up numerically
+                divs = [d.with_learnable_vector(row) for d, row in zip(divs, u)]
+        except (FloatingPointError, OverflowError) as e:
             raise TrainingDivergedError(
-                f"training diverged at iteration {it}: {e}", iteration=it) from e
+                f"training diverged at iteration {it} (lambda_creativity "
+                f"{', '.join(f'{lam:g}' for lam in lams)}): {e}", iteration=it) from e
 
-        loss_d = float(np.mean(d_losses))
-        if not (np.isfinite(res_g.value) and np.isfinite(loss_d)):
-            raise TrainingDivergedError(
-                f"training diverged at iteration {it}: "
-                f"loss_g={res_g.value}, loss_d={loss_d}", iteration=it)
+        for b, h in enumerate(hist):
+            loss_g, loss_d = float(res_g.value[b]), float(np.mean(d_values[b]))
+            div = divs[b]
+            if not np.isfinite([loss_g, loss_d, div.gamma, div.beta]).all():
+                raise TrainingDivergedError(
+                    f"training diverged at iteration {it} (lambda_creativity "
+                    f"{lams[b]:g}): loss_g={loss_g}, loss_d={loss_d}, "
+                    f"gamma={div.gamma}, beta={div.beta}", iteration=it)
+            h["iteration"].append(it)
+            h["loss_g"].append(loss_g)
+            h["loss_d"].append(loss_d)
+            h["mean_entropy"].append(float(res_g.parts["mean_entropy"][b]))
+            h["gamma"].append(div.gamma)
+            h["beta"].append(div.beta)
+            h["w_gap"].append(abs(float(np.mean(gaps[b]))))
 
-        hist["iteration"].append(it)
-        hist["loss_g"].append(res_g.value)
-        hist["loss_d"].append(loss_d)
-        hist["mean_entropy"].append(res_g.parts["mean_entropy"])
-        hist["gamma"].append(div.gamma)
-        hist["beta"].append(div.beta)
-        hist["w_gap"].append(abs(float(np.mean(gaps))))
+        if it % config.eval_interval == 0:
+            for fn, g, d, div in zip(snapshot_fns, gen.members, disc.members, divs):
+                if fn is not None:
+                    fn(it, g, d, div)
 
-        if snapshot_fn is not None and it % config.eval_interval == 0:
-            snapshot_fn(it, gen, disc, div)
-
-    history = TrainingHistory(**{k: np.array(v) for k, v in hist.items()})
-    return TrainedModel(generator=gen, discriminator=disc, divergence=div,
-                        history=history)
+    return [TrainedModel(generator=g, discriminator=d, divergence=div,
+                         history=TrainingHistory(**{k: np.array(v) for k, v in h.items()}))
+            for g, d, div, h in zip(gen.members, disc.members, divs, hist)]
 
 
 # --------------------------------------------------------------------------
@@ -253,16 +301,17 @@ def validation_auc(model_gen: Generator, train_ds: ZslDataset,
     return curve.auc
 
 
-def _sweep_one(args):
-    train_ds, config, lam, idx = args
-    cfg = replace(config, lambda_creativity=lam,
-                  seed=_splitmix64(config.seed ^ _splitmix64(idx)))
-    rows = []
+def _sweep_chunk(args):
+    """Validation rows (lambda, iteration, auc) of each config, trained in lockstep."""
+    train_ds, configs = args
+    rows = [[] for _ in configs]
 
-    def snap(it, gen, disc, div):
-        rows.append((lam, it, validation_auc(gen, train_ds, seed=cfg.seed)))
+    def scorer(cfg, out):
+        def snap(it, gen, disc, div):
+            out.append((cfg.lambda_creativity, it, validation_auc(gen, train_ds, seed=cfg.seed)))
+        return snap
 
-    train(train_ds, cfg, snapshot_fn=snap)
+    train_lockstep(train_ds, configs, [scorer(c, r) for c, r in zip(configs, rows)])
     return rows
 
 
@@ -273,8 +322,10 @@ def cross_validate_lambda(dataset: ZslDataset, config: TrainConfig,
 
     Returns (best lambda, rows of (lambda, iteration, auc)). The winner is
     the grid value whose best checkpoint AUC is highest; ties break toward
-    the smaller lambda. Set CIZSL_THREADS > 1 to train grid points in
-    parallel worker processes (results are identical either way).
+    the smaller lambda. The grid values train as one lockstep stack
+    (`train_lockstep`); set CIZSL_THREADS > 1 to split the grid into that
+    many lockstep chunks in worker processes (results are identical either
+    way).
     """
     grid = list(lambda_grid)
     if not grid:
@@ -297,16 +348,22 @@ def cross_validate_lambda(dataset: ZslDataset, config: TrainConfig,
             f"cross-validation needs >= 2 validation classes, got "
             f"{train_ds.unseen_class_ids.size}")
 
-    jobs = [(train_ds, config, float(lam), i) for i, lam in enumerate(grid)]
-    if workers > 1 and len(jobs) > 1:
+    configs = [replace(config, lambda_creativity=float(lam),
+                       seed=_splitmix64(config.seed ^ _splitmix64(i)))
+               for i, lam in enumerate(grid)]
+    n_chunks = min(workers, len(configs))
+    chunks = [(train_ds, configs[i::n_chunks]) for i in range(n_chunks)]
+    if n_chunks > 1:
         # imported here: concurrent.futures.process is about a tenth of the
         # time `import cizsl.cli` takes, and only a parallel sweep uses it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            per_lambda = list(pool.map(_sweep_one, jobs))
+        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
+            per_chunk = list(pool.map(_sweep_chunk, chunks))
     else:
-        per_lambda = [_sweep_one(j) for j in jobs]
+        per_chunk = [_sweep_chunk(chunks[0])]
+    # chunk i holds grid points i, i + n_chunks, ...
+    per_lambda = [per_chunk[i % n_chunks][i // n_chunks] for i in range(len(configs))]
 
     rows = [row for rows_ in per_lambda for row in rows_]
     scores = [max((r[2] for r in rows_), default=-np.inf) for rows_ in per_lambda]

@@ -497,6 +497,18 @@ class TestSweepLambdaCommand:
         assert code == 1
         assert "train.n_steps" in err and "train.eval_interval" in err
 
+    def test_diverging_grid_model_exits_2_naming_its_lambda(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json",
+                           synthetic={"n_super": 5, "classes_per_super": 2,
+                                      "instances_per_class": 10,
+                                      "unseen_fraction": 0.2, "seed": 4},
+                           train={"n_steps": 10, "eval_interval": 5})
+        with np.errstate(all="ignore"):
+            code, _, err = run_cli(capsys, "sweep-lambda", "--config", str(cfg),
+                                   "--grid", "0.5,1e308")
+        assert code == 2
+        assert "diverged at iteration" in err and "lambda_creativity 1e+308" in err
+
     @pytest.mark.parametrize("threads", ["two", "0", "-1", "1.5"])
     def test_bad_thread_count_exits_1(self, tmp_path, capsys, monkeypatch, threads):
         monkeypatch.setenv("CIZSL_THREADS", threads)

@@ -79,6 +79,21 @@ class TestValues:
         assert moved.beta == moved.gamma
 
 
+class TestInputShape:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_two_dimensional_pair_rejected(self, mode):
+        # a batch of rows is entropy_loss_batch's input, not a pair's
+        params = DivergenceParams(mode=mode, gamma=1.7, beta=0.4)
+        rng = RngStream(50, 0)
+        rows = np.array([rand_simplex(rng, 4), rand_simplex(rng, 4)])
+        p = rand_simplex(rng, 4)
+        for a, b in ((rows, rows), (rows, p[None]), (p[None], p[None])):
+            with pytest.raises(InvalidInputError, match="1-D"):
+                sm_divergence(a, b, params)
+            with pytest.raises(InvalidInputError, match="1-D"):
+                sm_divergence_grads(a, b, params)
+
+
 class TestLimitConsistency:
     """The guard strip dispatches to the analytic limit of each special case."""
 

@@ -354,6 +354,21 @@ class TestCurve:
         # state would be N times that
         assert peak < 2 * n * 2 * k * 8
 
+    def test_memory_holds_one_population_block_at_a_time(self):
+        # each population's distance block is reduced in one pass and freed:
+        # an argmin over a column block of the full N x 2K matrix would copy
+        # the block and pass 1.5 matrices
+        n, k = 2000, 50
+        feats, labels, seen, unseen = self.wide_setup(n, k)
+        seen_unseen_curve(feats, labels, seen, unseen)  # first-call imports
+        tracemalloc.start()
+        try:
+            seen_unseen_curve(feats, labels, seen, unseen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * 2 * k * 8
+
     def test_unseen_anchor_is_zsl_top1(self):
         # exactly equal, also at 10 classes, where summing the class rates in
         # another order than zsl_top1 (pairwise) moves the last bit

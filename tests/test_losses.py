@@ -283,6 +283,57 @@ class TestGeneratorLoss:
         assert by_name["visual_pivot"].passed
 
 
+class TestModelAxis:
+    """A stack of B models computes, per model, the bits of the single model."""
+
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_stacked_losses_are_bit_equal_per_model(self, extra):
+        k_cls = 4
+        models = [tiny_models(seed, k_cls=k_cls) for seed in (30, 31)]
+        gens, discs = [g for g, _ in models], [d for _, d in models]
+        gen, disc = Generator.stack(gens), Discriminator.stack(discs)
+        rng = RngStream(32, 0)
+        n_seen = k_cls - (1 if extra else 0)
+        m = 6
+        t_s, z_s = rng.normal((2, m, 4)), rng.normal((2, m, 3))
+        t_h, z_h = rng.normal((2, m, 4)), rng.normal((2, m, 3))
+        y_s = rng.integers(0, n_seen, (2, m))
+        x_real, y_real = rng.normal((2, m, 5)), rng.integers(0, n_seen, (2, m))
+        eps = rng.uniform(0.0, 1.0, (2, m))
+        centers = rng.normal((n_seen, 5))
+        # lambda 0 beside a creative model: the early return stays per model
+        lams = [0.0, 1.3]
+        divs = [SM, DivergenceParams(mode="renyi", gamma=0.7)]
+        x_fake, x_h = gen.forward(t_s, z_s), gen.forward(t_h, z_h)
+
+        res_g = generator_loss(gen, disc, t_s, y_s, z_s, t_h, z_h, lams, divs, centers,
+                               extra_class=extra)
+        res_d = discriminator_loss(disc, x_real, y_real, x_fake, y_s, 10.0, eps,
+                                   extra_class=extra, x_h=x_h)
+        for b in range(2):
+            one_g = generator_loss(gens[b], discs[b], t_s[b], y_s[b], z_s[b], t_h[b],
+                                   z_h[b], lams[b], divs[b], centers, extra_class=extra)
+            one_d = discriminator_loss(discs[b], x_real[b], y_real[b], x_fake[b],
+                                       y_s[b], 10.0, eps[b], extra_class=extra,
+                                       x_h=x_h[b])
+            np.testing.assert_array_equal(res_g.grad_gen[b], one_g.grad_gen)
+            np.testing.assert_array_equal(res_d.grad_disc[b], one_d.grad_disc)
+            assert res_g.value[b] == one_g.value and res_d.value[b] == one_d.value
+            assert tuple(res_g.grad_divergence[b]) == one_g.grad_divergence
+            for stacked, one in ((res_g, one_g), (res_d, one_d)):
+                assert stacked.parts.keys() == one.parts.keys()
+                assert all(stacked.parts[k][b] == v for k, v in one.parts.items())
+
+    def test_unchecked_labels_skip_the_range_check_only(self):
+        gen, disc = tiny_models()
+        rng = RngStream(33, 0)
+        t, z, y = rng.normal((4, 4)), rng.normal((4, 3)), np.array([0, 1, 2, 1])
+        args = (gen, disc, t, y, z, t, z, 1.0, SM, rng.normal((3, 5)))
+        checked, unchecked = generator_loss(*args), generator_loss(*args, check_input=False)
+        np.testing.assert_array_equal(checked.grad_gen, unchecked.grad_gen)
+        assert checked.value == unchecked.value
+
+
 class TestDiscriminatorLoss:
     def test_hand_case_log_k(self):
         # unit-norm linear critic, zero class head, fake == real constant batch:

@@ -5,8 +5,9 @@ import pytest
 
 from cizsl.errors import DatasetFormatError, InvalidInputError, InvalidStateError
 from cizsl.net import (DiscriminatorArch, Discriminator, Generator, GeneratorArch,
-                       Layer, MlpNetwork, build_discriminator, build_generator,
-                       gradient_penalty, load_checkpoint, save_checkpoint)
+                       Layer, MlpNetwork, _act, _act_d, build_discriminator,
+                       build_generator, gradient_penalty, load_checkpoint,
+                       save_checkpoint)
 from cizsl.numerics import (RngStream, adam_init, adam_step, finite_diff_gradient,
                             relative_error)
 
@@ -292,8 +293,110 @@ class TestGradientPenalty:
         np.testing.assert_allclose(grad, grad_1, rtol=0, atol=1e-12)
         np.testing.assert_allclose(rows, rows_1, rtol=0, atol=1e-12)
         # piecewise-linear layers: the input gradient has no bias dependence
-        for _, b in disc.net._views(grad):
+        for b in disc.net._views(grad[None])[1]:
             np.testing.assert_array_equal(b, 0.0)
+
+
+class TestStack:
+    def members(self, n=3, seed=60):
+        rng = RngStream(seed, 0)
+        gens = [build_generator(GeneratorArch(text_dim=4, noise_dim=2, output_dim=3,
+                                              embed_dim=5, hidden_dims=(6,)), rng)
+                for _ in range(n)]
+        discs = [build_discriminator(DiscriminatorArch(input_dim=3, n_classes=2,
+                                                       hidden_dims=(5,)), rng)
+                 for _ in range(n)]
+        for model in gens + discs:
+            model.set_param_vector(0.5 * rng.normal(model.n_params))
+        return gens, discs, rng
+
+    def test_members_become_views_of_their_rows(self):
+        gens, discs, rng = self.members()
+        before = [g.param_vector() for g in gens]
+        stack = Generator.stack(gens)
+        assert stack.params.shape == (3, gens[0].n_params)
+        for b, g in enumerate(gens):
+            np.testing.assert_array_equal(stack.params[b], before[b])
+            assert np.shares_memory(g.params, stack.params[b])
+            for l in g.embed.layers + g.trunk.layers:
+                assert l.weight.ndim == 2 and np.shares_memory(l.weight, stack.params[b])
+        gens[1].set_param_vector(np.zeros(gens[1].n_params))
+        np.testing.assert_array_equal(stack.params[1], 0.0)
+        np.testing.assert_array_equal(stack.params[0], before[0])
+
+    def test_stacked_passes_are_bit_equal_per_model(self):
+        gens, discs, rng = self.members()
+        gen, disc = Generator.stack(gens), Discriminator.stack(discs)
+        t, z = rng.normal((3, 7, 4)), rng.normal((3, 7, 2))
+        x, g_cache = gen.forward_cached(t, z)
+        (real, logits), d_cache = disc.forward_cached(x)
+        d_real, d_logits = rng.normal((3, 7)), rng.normal((3, 7, 2))
+        grad_d, d_x = disc.backward(d_cache, d_real, d_logits)
+        grad_g, d_t, d_z = gen.backward(g_cache, d_x)
+        pen, grad_pen, rows = gradient_penalty(disc, d_cache)
+        assert grad_g.shape == (3, gen.n_params) and pen.shape == (3,)
+        for b in range(3):
+            x_b, gc = gens[b].forward_cached(t[b], z[b])
+            (real_b, logits_b), dc = discs[b].forward_cached(x_b)
+            gd_b, dx_b = discs[b].backward(dc, d_real[b], d_logits[b])
+            gg_b, dt_b, dz_b = gens[b].backward(gc, dx_b)
+            pen_b, gp_b, rows_b = gradient_penalty(discs[b], dc)
+            for stacked, single in ((x[b], x_b), (real[b], real_b), (logits[b], logits_b),
+                                    (grad_d[b], gd_b), (d_x[b], dx_b), (grad_g[b], gg_b),
+                                    (d_t[b], dt_b), (d_z[b], dz_b), (pen[b], pen_b),
+                                    (grad_pen[b], gp_b), (rows[b], rows_b)):
+                np.testing.assert_array_equal(stacked, single)
+
+    def test_stack_update_invalidates_member_caches(self):
+        gens, discs, rng = self.members()
+        disc = Discriminator.stack(discs)
+        _, cache = discs[0].forward_cached(rng.normal((4, 3)))
+        disc.net.params_changed()
+        with pytest.raises(InvalidStateError):
+            discs[0].backward(cache, np.zeros(4), np.zeros((4, 2)))
+
+    def test_stack_rows_need_the_model_axis(self):
+        gens, discs, rng = self.members()
+        disc = Discriminator.stack(discs)
+        with pytest.raises(InvalidInputError, match="3 models"):
+            disc.forward(rng.normal((4, 3)))
+        with pytest.raises(InvalidInputError):
+            disc.forward(rng.normal((2, 4, 3)))
+
+    def test_architectures_must_match(self):
+        rng = RngStream(61, 0)
+        nets = [MlpNetwork([Layer(rng.normal((2, 3)), np.zeros(2), "relu")]),
+                MlpNetwork([Layer(rng.normal((2, 3)), np.zeros(2), "identity")])]
+        with pytest.raises(InvalidInputError, match="architecture"):
+            MlpNetwork.stack(nets)
+
+    def test_checkpoint_of_a_stack_rejected(self, tmp_path):
+        gens, discs, _ = self.members()
+        with pytest.raises(InvalidInputError, match="one model"):
+            save_checkpoint(tmp_path / "c.czsl", Generator.stack(gens),
+                            Discriminator.stack(discs))
+        save_checkpoint(tmp_path / "c.czsl", gens[2], discs[2])
+        gen, disc = load_checkpoint(tmp_path / "c.czsl")
+        np.testing.assert_array_equal(gen.params, gens[2].params)
+        np.testing.assert_array_equal(disc.params, discs[2].params)
+
+
+class TestLeakyRelu:
+    @pytest.mark.parametrize("slope", [0.0, 1e-3, 0.1, 0.2, 1 / 3, 0.49, 0.5, 0.7, 1.0])
+    def test_value_and_derivative_match_the_masked_forms(self, slope):
+        z = RngStream(62, 0).normal(200)
+        z[:4] = [0.0, -0.0, np.nan, -np.inf]
+        with np.errstate(invalid="ignore"):  # 0 * -inf at slope 0
+            h = _act("leaky_relu", z.copy(), slope)
+            np.testing.assert_array_equal(h, np.where(z > 0.0, z, slope * z))
+        # the derivative is read from the output, positive exactly where z is
+        np.testing.assert_array_equal(_act_d("leaky_relu", h, slope),
+                                      np.where(z > 0.0, 1.0, slope))
+
+    @pytest.mark.parametrize("slope", [-0.1, 1.5, np.nan])
+    def test_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(InvalidInputError, match="slope"):
+            Layer(np.zeros((2, 2)), np.zeros(2), "leaky_relu", slope)
 
 
 class TestCheckpoint:

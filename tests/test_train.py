@@ -11,9 +11,9 @@ import pytest
 from cizsl.data import SyntheticConfig, make_synthetic
 from cizsl.errors import (InvalidConfigError, InvalidSplitError, InvalidStateError,
                           TrainingDivergedError)
-from cizsl.net import Generator, MlpNetwork
+from cizsl.net import Generator, MlpNetwork, save_checkpoint
 from cizsl.train import (TrainConfig, cross_validate_lambda, select_best_lambda,
-                         train, validation_auc)
+                         train, train_lockstep, validation_auc)
 
 # the module, which the package's `train` function shadows as an attribute
 cizsl_train = importlib.import_module("cizsl.train")
@@ -146,7 +146,8 @@ class TestTrain:
         net_forward = MlpNetwork.forward_cached
 
         def counted_net_forward(self, x):
-            critic_fwd[0] += self is built[0].net
+            # the loop forwards the stack whose one member is the built critic
+            critic_fwd[0] += built[0].net in (self.members or ())
             return net_forward(self, x)
 
         gen_forward = Generator.forward_cached
@@ -195,6 +196,68 @@ class TestTrain:
                           learning_rate=0.003, text_embed_dim=8, hidden_dim=24)
         h = train(ds, cfg).history
         assert h.w_gap[499] < h.w_gap[9]
+
+
+def checkpoint_writer(run_dir: Path):
+    """A snapshot function saving each snapshot as cmd_train does."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+
+    def snap(it, gen, disc, div):
+        save_checkpoint(run_dir / f"checkpoint_{it:06d}.czsl", gen, disc)
+    return snap
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_grid_models_are_byte_identical_to_solo_runs(self, tmp_path, extra):
+        # lambda = 0 takes the creativity term's early return inside a grid
+        # whose other models run the full term
+        ds = tiny_dataset()
+        configs = [tiny_config(n_steps=12, eval_interval=6, lambda_creativity=lam,
+                               seed=seed, extra_class_for_hallucinated=extra)
+                   for lam, seed in ((0.0, 11), (0.5, 12), (4.0, 13))]
+        grid = train_lockstep(ds, configs, [checkpoint_writer(tmp_path / f"grid{b}")
+                                            for b in range(3)])
+        for b, cfg in enumerate(configs):
+            solo = train(ds, cfg, checkpoint_writer(tmp_path / f"solo{b}"))
+            assert grid[b].history.to_csv() == solo.history.to_csv()
+            assert grid[b].divergence == solo.divergence
+            for run, model in (("grid", grid[b]), ("solo", solo)):
+                save_checkpoint(tmp_path / f"{run}{b}" / "checkpoint_final.czsl",
+                                model.generator, model.discriminator)
+            names = sorted(p.name for p in (tmp_path / f"solo{b}").iterdir())
+            assert names == ["checkpoint_000006.czsl", "checkpoint_000012.czsl",
+                             "checkpoint_final.czsl"]
+            for name in names:
+                assert (tmp_path / f"grid{b}" / name).read_bytes() == \
+                    (tmp_path / f"solo{b}" / name).read_bytes()
+
+    def test_models_are_views_of_the_stack(self):
+        ds = tiny_dataset()
+        models = train_lockstep(ds, [tiny_config(n_steps=2, seed=s) for s in (1, 2)])
+        gens = [m.generator for m in models]
+        assert all(g.params.shape == (gens[0].n_params,) for g in gens)
+        # rows of one (2, n) buffer
+        assert gens[0].params.base is gens[1].params.base
+        assert gens[0].params.base.shape == (2, gens[0].n_params)
+        assert gens[0].forward(np.zeros((3, ds.text_dim)), np.zeros((3, 4))).shape \
+            == (3, ds.feature_dim)
+
+    @pytest.mark.parametrize("kw", [{"batch_size": 6}, {"gamma_init": 1.5},
+                                    {"extra_class_for_hallucinated": True}])
+    def test_configs_may_differ_only_in_lambda_and_seed(self, kw):
+        with pytest.raises(InvalidConfigError, match="lambda_creativity and train.seed"):
+            train_lockstep(tiny_dataset(), [tiny_config(), tiny_config(seed=4, **kw)])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_model_is_named_by_its_lambda(self):
+        # 1e308 overflows the creativity gradient; the other model is sound
+        ds = tiny_dataset()
+        with pytest.raises(TrainingDivergedError,
+                           match=r"iteration 1 \(lambda_creativity 1e\+308\)") as exc:
+            train_lockstep(ds, [tiny_config(lambda_creativity=0.5),
+                                tiny_config(lambda_creativity=1e308, seed=7)])
+        assert exc.value.iteration == 1
 
 
 class TestCrossValidation:
@@ -256,6 +319,14 @@ class TestCrossValidation:
             del os.environ["CIZSL_THREADS"]
         assert best_seq == best_par
         assert rows_seq == rows_par
+
+    def test_uneven_worker_chunks_match_one_stack(self, monkeypatch):
+        # three grid points over two workers: lockstep chunks of two and one
+        ds = self.dataset()
+        cfg = tiny_config(n_steps=10)
+        one = cross_validate_lambda(ds, cfg, [0.0, 0.5, 2.0])
+        monkeypatch.setenv("CIZSL_THREADS", "2")
+        assert cross_validate_lambda(ds, cfg, [0.0, 0.5, 2.0]) == one
 
     def test_cli_import_leaves_out_the_process_pool(self):
         # only a parallel sweep imports concurrent.futures.process
