@@ -229,20 +229,16 @@ def sm_divergence_grads(p, q, params: DivergenceParams):
     return dp[0], (float(dg[0]), float(db[0]))
 
 
-def entropy_loss_batch(probs: np.ndarray, params: DivergenceParams,
-                       check_input: bool = True):
+def entropy_loss_batch(probs: np.ndarray, params: DivergenceParams):
     """Divergence of each softmax row from the uniform distribution: zero
     exactly when the row is uniform, strictly positive otherwise.
 
     Returns (values (n,), d/dprobs (n, K), d/dgamma (n,), d/dbeta (n,)).
-    `check_input=False` skips validating `params` and the batch shape, for
-    callers that validated them once up front (the training loop).
     """
+    params.validate()
     probs = np.asarray(probs, dtype=np.float64)
-    if check_input:
-        params.validate()
-        if probs.ndim != 2 or probs.shape[1] < 2:
-            raise InvalidInputError("expected a batch of distributions over >= 2 classes")
+    if probs.ndim != 2 or probs.shape[1] < 2:
+        raise InvalidInputError("expected a batch of distributions over >= 2 classes")
     q = np.full_like(probs, 1.0 / probs.shape[1])
     return _sm_batch(probs, q, params)
 

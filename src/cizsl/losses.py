@@ -14,7 +14,7 @@ from .divergence import (DivergenceParams, batch_minmax_normalize,
                          minmax_gradient_scale)
 from .errors import InvalidInputError
 from .net import Discriminator, Generator, gradient_penalty
-from .numerics import RngStream, _log_softmax, log_softmax, softmax_vjp
+from .numerics import RngStream, log_softmax, softmax_vjp
 
 ALPHA_MODES = ("uniform-0.2-0.8", "uniform-0-1", "fixed-0.5", "normal-0.5")
 
@@ -108,7 +108,7 @@ def _result(stacked: bool, value, parts: dict, **grads) -> LossResult:
 
 def creativity_loss(logits: np.ndarray, lam: float, div_params: DivergenceParams,
                     norm_bounds: tuple[float, float] | None = None,
-                    extra_class: bool = False, check_input: bool = True):
+                    extra_class: bool = False):
     """Creativity term on the class logits of hallucinated-descriptor rows.
 
     value = lam * mean min-max-normalized entropy loss of the seen-class
@@ -116,8 +116,6 @@ def creativity_loss(logits: np.ndarray, lam: float, div_params: DivergenceParams
     `norm_bounds` freezes them explicitly for finite-difference checking.
     With `extra_class`, the entropy term is replaced by cross-entropy toward
     a dedicated extra class (the last logit column), the ablation variant.
-    `check_input=False` skips the finiteness scan of the logits and the
-    validation of `div_params` (see `generator_loss`).
 
     Returns (value, d value / d logits, (d/dgamma, d/dbeta), mean entropy
     loss); the realness of the rows is the generator objective's part.
@@ -128,13 +126,13 @@ def creativity_loss(logits: np.ndarray, lam: float, div_params: DivergenceParams
         raise InvalidInputError("creativity loss needs a non-empty batch")
     if lam == 0.0:
         return 0.0, np.zeros_like(logits), (0.0, 0.0), 0.0
-    lsm = (log_softmax if check_input else _log_softmax)(logits)
+    lsm = log_softmax(logits)
     probs = np.exp(lsm)
     if extra_class:
         ce = -float(lsm[:, -1].sum()) / n
         probs[:, -1] -= 1.0
         return lam * ce, (lam / n) * probs, (0.0, 0.0), ce
-    e, de_dp, de_dg, de_db = entropy_loss_batch(probs, div_params, check_input=check_input)
+    e, de_dp, de_dg, de_db = entropy_loss_batch(probs, div_params)
     bounds = minmax_bounds(e) if norm_bounds is None else norm_bounds
     w = lam * minmax_gradient_scale(bounds) / n
     value = lam * (float(batch_minmax_normalize(e, bounds).sum()) / n)
@@ -177,8 +175,7 @@ def generator_loss(gen: Generator, disc: Discriminator, t_s: np.ndarray,
                    y_s: np.ndarray, z_s: np.ndarray, t_h: np.ndarray,
                    z_h: np.ndarray, lam, div_params,
                    centers_by_class: np.ndarray, creativity_enabled: bool = True,
-                   extra_class: bool = False, norm_bounds=None,
-                   check_input: bool = True) -> LossResult:
+                   extra_class: bool = False, norm_bounds=None) -> LossResult:
     """Full generator objective: seen-batch realism, seen-batch
     classification (log softmax of the class head) and the visual pivot,
     plus the creativity term (realness of the hallucinated rows and
@@ -193,15 +190,12 @@ def generator_loss(gen: Generator, disc: Discriminator, t_s: np.ndarray,
 
     For stacks `gen` and `disc` of B models, the rows carry a leading model
     axis, and `lam`, `div_params` and `norm_bounds` (when given) are
-    sequences of one entry per model. `check_input=False` skips the label
-    range check and the finiteness scans of the logits, for callers that
-    made the labels themselves (the training loop).
+    sequences of one entry per model.
     """
     stacked = gen.members is not None
     k_cls = disc.n_classes - (1 if extra_class else 0)
     y_s = _per_model(stacked, y_s, rows=False)
-    if check_input:
-        _check_labels(y_s, k_cls)
+    _check_labels(y_s, k_cls)
     lams, divs, bounds = (lam, div_params, norm_bounds) if stacked else (
         [lam], [div_params], [norm_bounds])
     if bounds is None:
@@ -219,7 +213,7 @@ def generator_loss(gen: Generator, disc: Discriminator, t_s: np.ndarray,
     d_logits = np.empty_like(logits)
 
     y = _one_hot(y_s, k_cls)
-    lsm = (log_softmax if check_input else _log_softmax)(logits[:, :m])
+    lsm = log_softmax(logits[:, :m])
     cls_term = -np.sum(y * lsm[..., :k_cls], axis=-1).sum(axis=-1) / m
     d_logits[:, :m] = np.exp(lsm) / m
     d_logits[:, :m, :k_cls] -= y / m
@@ -238,7 +232,7 @@ def generator_loss(gen: Generator, disc: Discriminator, t_s: np.ndarray,
         for b in range(n_models):
             term[b], d_logits[b, m:], grad_div[b], mean_entropy[b] = creativity_loss(
                 logits[b, m:], lams[b], divs[b], norm_bounds=bounds[b],
-                extra_class=extra_class, check_input=check_input)
+                extra_class=extra_class)
         d_real[:, m:] = -1.0 / n_h
         creativity = -real[:, m:].sum(axis=-1) / n_h + term
         value = value + creativity
@@ -256,8 +250,7 @@ def generator_loss(gen: Generator, disc: Discriminator, t_s: np.ndarray,
 def discriminator_loss(disc: Discriminator, x_real: np.ndarray, y_real: np.ndarray,
                        x_fake: np.ndarray, y_fake: np.ndarray, gp_weight: float,
                        gp_eps: np.ndarray, extra_class: bool = False,
-                       x_h: np.ndarray | None = None,
-                       check_input: bool = True) -> LossResult:
+                       x_h: np.ndarray | None = None) -> LossResult:
     """Critic objective: Wasserstein terms, Lipschitz penalty at per-row
     interpolates x_hat = eps * real + (1 - eps) * fake, and the two halved
     classification terms on real and generated seen features.
@@ -270,8 +263,7 @@ def discriminator_loss(disc: Discriminator, x_real: np.ndarray, y_real: np.ndarr
     w.r.t. the discriminator only; the generated rows are constants.
 
     For a stack `disc` of B models, every row, label and `gp_eps` array
-    carries a leading model axis. `check_input=False` skips the label range
-    check and the finiteness scan of the logits (see `generator_loss`).
+    carries a leading model axis.
     """
     stacked = disc.members is not None
     x_real = _per_model(stacked, x_real)
@@ -284,8 +276,7 @@ def discriminator_loss(disc: Discriminator, x_real: np.ndarray, y_real: np.ndarr
         raise InvalidInputError(
             f"real batch {x_real.shape} and fake batch {x_fake.shape} misaligned")
     labels = np.concatenate([y_fake, y_real], axis=1)
-    if check_input:
-        _check_labels(labels, k_cls)
+    _check_labels(labels, k_cls)
     gp_eps = _per_model(stacked, gp_eps).reshape(n_models, m, 1)
     rows = [x_fake, x_real]
     if extra_class:
@@ -307,7 +298,7 @@ def discriminator_loss(disc: Discriminator, x_real: np.ndarray, y_real: np.ndarr
     if extra_class:
         target[:, 2 * m:, -1] = 1.0
         row_scale[2 * m:] = 0.5 / n_h
-    lsm = (log_softmax if check_input else _log_softmax)(logits)
+    lsm = log_softmax(logits)
     ce = -np.sum(target * lsm, axis=-1)
     cls_fake = 0.5 * (ce[:, :m].sum(axis=-1) / m)
     cls_real = 0.5 * (ce[:, m:2 * m].sum(axis=-1) / m)

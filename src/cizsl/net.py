@@ -126,14 +126,17 @@ class MlpNetwork:
     def stack(cls, nets) -> "MlpNetwork":
         """One network of the models `nets`, which share an architecture.
         Each of `nets` becomes a view of its row of the stack's (B, n)
-        `params`; a stack's `layers` are its first member's."""
+        `params`; a stack's `layers` are its first member's. The stack's
+        clock starts past every member's, so no cache a member made before
+        stacking passes as current."""
         nets = list(nets)
         if not nets:
             raise InvalidInputError("a stack needs at least one network")
         if any(_architecture(n) != _architecture(nets[0]) for n in nets[1:]):
             raise InvalidInputError("stacked networks must share one architecture")
         net = cls.__new__(cls)
-        net.layers, net.members, net._clock = nets[0].layers, nets, [0]
+        net.layers, net.members = nets[0].layers, nets
+        net._clock = [1 + max(n._clock[0] for n in nets)]
         net._bind(np.empty((len(nets), nets[0].n_params)))
         return net
 

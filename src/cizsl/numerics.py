@@ -101,13 +101,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
         raise InvalidInputError("log_softmax of an empty vector")
     if not np.all(np.isfinite(z)):
         raise InvalidInputError("log_softmax input contains non-finite entries")
-    return _log_softmax(z)
-
-
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    """`log_softmax` of a float64 array without the input checks, for logits
-    the package computed itself: non-finite logits give non-finite losses,
-    which the training loop's end-of-iteration check reports."""
     shifted = z - np.max(z, axis=-1, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 

@@ -154,7 +154,9 @@ def train_lockstep(dataset: ZslDataset, configs, snapshot_fns=None) -> list[Trai
     loops' per-call cost. `snapshot_fns[b]` (None to skip) is called as
     `train`'s `snapshot_fn` with views of model b. A model whose losses or
     divergence parameters turn non-finite stops the whole loop with a
-    TrainingDivergedError naming its lambda and iteration.
+    TrainingDivergedError naming its lambda and iteration; a non-finite
+    logit, which stops the step before its losses are complete, names the
+    iteration and every lambda of the grid.
     """
     configs = list(configs)
     if not configs:
@@ -230,7 +232,7 @@ def train_lockstep(dataset: ZslDataset, configs, snapshot_fns=None) -> list[Trai
                 res = discriminator_loss(disc, dataset.features[x_rows[:, k]], y[:, k],
                                          x_gen[:, k * m:(k + 1) * m], y[:, k],
                                          config.gp_weight, eps[:, k], extra_class=extra,
-                                         x_h=x_h, check_input=False)
+                                         x_h=x_h)
                 adam_step(disc.params, res.grad_disc, state_d)
                 disc.net.params_changed()
                 d_values[:, k] = res.value
@@ -238,7 +240,7 @@ def train_lockstep(dataset: ZslDataset, configs, snapshot_fns=None) -> list[Trai
 
             res_g = generator_loss(gen, disc, seen_desc[y_g], y_g, z_g, t_h, z_h,
                                    lams, divs, centers, creativity_enabled=use_creativity,
-                                   extra_class=extra, check_input=False)
+                                   extra_class=extra)
             adam_step(gen.params, res_g.grad_gen, state_g)
             gen.params_changed()
 
@@ -247,7 +249,9 @@ def train_lockstep(dataset: ZslDataset, configs, snapshot_fns=None) -> list[Trai
                                    for d, g in zip(divs, res_g.grad_divergence)])
                 adam_step(u, grad_u, state_e)
                 divs = [d.with_learnable_vector(row) for d, row in zip(divs, u)]
-        except (FloatingPointError, OverflowError) as e:
+        except (InvalidInputError, FloatingPointError, OverflowError) as e:
+            # all loop inputs are machine-generated, so a rejected value here
+            # (a non-finite logit) means the optimization blew up numerically
             raise TrainingDivergedError(
                 f"training diverged at iteration {it} (lambda_creativity "
                 f"{', '.join(f'{lam:g}' for lam in lams)}): {e}", iteration=it) from e

@@ -98,6 +98,18 @@ class TestDistances:
                                    rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("metric", ["l2", "cosine"])
+    def test_one_center_within_ulps_of_a_wider_block(self, metric):
+        # numpy takes a matrix-vector product for one center, which sums in
+        # another order than the matrix product: a one-class population's
+        # distances may differ from its column in a wider block, by ulps
+        rng = RngStream(20, 0)
+        feats, cents = rng.normal((500, 300)), rng.normal((4, 300))
+        wide = _distances(feats, cents, metric)
+        for j in range(cents.shape[0]):
+            np.testing.assert_allclose(_distances(feats, cents[j:j + 1], metric)[:, 0],
+                                       wide[:, j], rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("metric", ["l2", "cosine"])
     def test_memory_is_output_sized(self, metric):
         # the output is 0.8 MB; an N x K x D difference tensor would be 51.2 MB
         rng = RngStream(19, 0)

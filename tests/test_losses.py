@@ -324,15 +324,6 @@ class TestModelAxis:
                 assert stacked.parts.keys() == one.parts.keys()
                 assert all(stacked.parts[k][b] == v for k, v in one.parts.items())
 
-    def test_unchecked_labels_skip_the_range_check_only(self):
-        gen, disc = tiny_models()
-        rng = RngStream(33, 0)
-        t, z, y = rng.normal((4, 4)), rng.normal((4, 3)), np.array([0, 1, 2, 1])
-        args = (gen, disc, t, y, z, t, z, 1.0, SM, rng.normal((3, 5)))
-        checked, unchecked = generator_loss(*args), generator_loss(*args, check_input=False)
-        np.testing.assert_array_equal(checked.grad_gen, unchecked.grad_gen)
-        assert checked.value == unchecked.value
-
 
 class TestDiscriminatorLoss:
     def test_hand_case_log_k(self):

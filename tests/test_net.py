@@ -349,11 +349,18 @@ class TestStack:
 
     def test_stack_update_invalidates_member_caches(self):
         gens, discs, rng = self.members()
+        x = rng.normal((4, 3))
+        _, early = discs[1].forward_cached(x)  # made before stacking
         disc = Discriminator.stack(discs)
-        _, cache = discs[0].forward_cached(rng.normal((4, 3)))
-        disc.net.params_changed()
-        with pytest.raises(InvalidStateError):
-            discs[0].backward(cache, np.zeros(4), np.zeros((4, 2)))
+        _, cache = discs[0].forward_cached(x)
+        # as many updates as the member had: a stack clock starting from 0
+        # would now read the early cache's version
+        assert early.version >= 1
+        for _ in range(early.version):
+            disc.net.params_changed()
+        for member, c in ((discs[0], cache), (discs[1], early)):
+            with pytest.raises(InvalidStateError, match="stale"):
+                member.backward(c, np.zeros(4), np.zeros((4, 2)))
 
     def test_stack_rows_need_the_model_axis(self):
         gens, discs, rng = self.members()

@@ -179,9 +179,9 @@ class TestTrain:
 
         def checked_loss(disc, x_real, *args, **kwargs):
             if caches:
-                with pytest.raises(InvalidStateError):
-                    disc.net.backward(caches[-1], np.zeros((x_real.shape[0],
-                                                            disc.net.out_dim)))
+                with pytest.raises(InvalidStateError, match="stale"):
+                    disc.net.backward(caches[-1], np.zeros(x_real.shape[:-1]
+                                                           + (disc.net.out_dim,)))
             caches.append(disc.net.forward_cached(x_real)[1])
             return loss(disc, x_real, *args, **kwargs)
 
