@@ -22,6 +22,7 @@ from .numerics import RngStream
 
 BLOB_MAGIC = b"CZFD"
 BLOB_VERSION = 1
+LABEL_MAX = 2**32 - 1
 
 _MANIFEST_CLASS_KEYS = {"id", "name", "super", "seen", "descriptor_blob",
                         "descriptor_row"}
@@ -98,9 +99,6 @@ class ZslDataset:
     def descriptor_of(self, class_id: int) -> np.ndarray:
         return self.descriptors[self.class_index(class_id)]
 
-    def instances_of(self, class_id: int) -> np.ndarray:
-        return self.features[self.labels == class_id]
-
     def restrict_to(self, class_ids) -> "ZslDataset":
         """New dataset holding only the listed classes and their instances."""
         wanted = set(int(c) for c in class_ids)
@@ -165,6 +163,11 @@ def read_blob(path, dtype: str) -> np.ndarray:
 def save_dataset(dataset: ZslDataset, manifest_path) -> None:
     """Write manifest + blobs next to `manifest_path` (stem-prefixed names)."""
     dataset.validate()
+    # the label blob holds u32 class ids; a wider id would wrap silently
+    wide = dataset.labels[(dataset.labels < 0) | (dataset.labels > LABEL_MAX)]
+    if wide.size:
+        raise InvalidInputError(f"class id {int(wide[0])} does not fit the u32 label "
+                                f"blob: ids with rows must lie in [0, {LABEL_MAX}]")
     manifest_path = Path(manifest_path)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     stem = manifest_path.stem
@@ -331,13 +334,24 @@ def make_synthetic(config: SyntheticConfig) -> ZslDataset:
 
 
 def class_means(dataset: ZslDataset, class_ids) -> np.ndarray:
-    """Arithmetic feature mean per requested class, stacked in given order."""
-    out = np.zeros((len(class_ids), dataset.feature_dim))
-    for i, cid in enumerate(class_ids):
-        rows = dataset.instances_of(int(cid))
-        if rows.shape[0] == 0:
+    """Arithmetic feature mean per requested class, stacked in given order.
+
+    One stable sort of the labels bounds each class's rows; each class sums
+    a gather of its rows in dataset order and divides by its count, as
+    `mean(axis=0)` does, so it is bit-equal to the mean over
+    `features[labels == c]`.
+    """
+    ids = np.array([int(c) for c in class_ids], dtype=np.int64)
+    order = np.argsort(dataset.labels, kind="stable")
+    labels = dataset.labels[order]
+    lo = np.searchsorted(labels, ids, side="left")
+    hi = np.searchsorted(labels, ids, side="right")
+    out = np.empty((ids.size, dataset.feature_dim))
+    for i, (cid, a, b) in enumerate(zip(ids, lo, hi)):
+        if a == b:
             raise InvalidInputError(f"class {int(cid)} has no instances to average")
-        out[i] = rows.mean(axis=0)
+        np.add.reduce(dataset.features[order[a:b]], axis=0, out=out[i])
+    out /= (hi - lo)[:, None]
     return out
 
 

@@ -40,22 +40,40 @@ class ClassCenters:
             raise InvalidInputError("class centers contain non-finite values")
 
 
+# rows per trunk pass of `synthesize_centers`: whole classes are batched up to
+# this many rows, so the pass's working set stays cache-sized at any class
+# count (a class with more samples is its own block)
+CENTER_BLOCK_ROWS = 256
+
+
 def synthesize_centers(gen: Generator, descriptors: dict[int, np.ndarray],
                        n: int, rng: RngStream) -> ClassCenters:
     """Per-class mean of n generated features, one noise batch per class.
 
     Each class draws from a stream derived from its id, so the result is
-    deterministic and independent of dict ordering.
+    deterministic and independent of dict ordering. Each descriptor is
+    embedded once; the trunk runs over blocks of whole classes of at most
+    `CENTER_BLOCK_ROWS` rows.
     """
     if n < 1:
         raise InvalidInputError(f"need n >= 1 samples per center, got {n}")
     ids = sorted(int(c) for c in descriptors)
-    centers = []
-    for cid in ids:
-        z = rng.derive(cid).normal((n, gen.noise_dim))
-        t = np.repeat(np.asarray(descriptors[cid], dtype=np.float64)[None, :], n, axis=0)
-        centers.append(gen.forward(t, z).mean(axis=0))
-    return ClassCenters(class_ids=np.array(ids), centers=np.array(centers))
+    t = np.empty((len(ids), gen.text_dim))
+    for row, cid in zip(t, ids):
+        d = np.asarray(descriptors[cid], dtype=np.float64)
+        if d.shape != row.shape:
+            raise InvalidInputError(f"descriptor of class {cid} has shape {d.shape}, "
+                                    f"expected {row.shape}")
+        row[...] = d
+    e = gen.embed.forward(t)
+    centers = np.empty((len(ids), gen.output_dim))
+    per_block = max(1, CENTER_BLOCK_ROWS // n)
+    for a in range(0, len(ids), per_block):
+        block = ids[a:a + per_block]
+        z = np.concatenate([rng.derive(cid).normal((n, gen.noise_dim)) for cid in block])
+        x = gen.trunk.forward(gen.trunk_input(e[a:a + len(block)], z, repeats=n))
+        x.reshape(len(block), n, -1).mean(axis=1, out=centers[a:a + len(block)])
+    return ClassCenters(class_ids=np.array(ids), centers=centers)
 
 
 def _distances(features: np.ndarray, centers: np.ndarray, metric: str) -> np.ndarray:
@@ -231,8 +249,11 @@ def retrieval_precision(features: np.ndarray, labels: np.ndarray,
                         metric: str = "l2") -> dict[float, float]:
     """Mean over unseen classes of precision at ceil(ratio * class size).
 
-    For each class, all test instances are ranked once by distance to the
-    class center and the top ceil(ratio * n_c) are retrieved for every ratio.
+    For each class, the test instances are ranked once by distance to the
+    class center (equal distances to the smaller index) and the top
+    ceil(ratio * n_c) are retrieved for every ratio; a k beyond the test set
+    retrieves every instance and still divides by k. Only the instances at
+    or below the largest k's distance are sorted.
     """
     for ratio in ratios:
         if not valid_retrieval_ratio(ratio):
@@ -240,18 +261,34 @@ def retrieval_precision(features: np.ndarray, labels: np.ndarray,
                 f"eval.retrieval_ratios must be finite and > 0, got {ratio!r}")
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels)
-    d = _distances(features, unseen_centers.centers, metric).T
+    class_ids = unseen_centers.class_ids
+    positions = _class_positions(labels, class_ids)
+    counts = np.bincount(positions, minlength=class_ids.size + 1)
+    d = np.ascontiguousarray(_distances(features, unseen_centers.centers, metric).T)
     precisions = {float(ratio): [] for ratio in ratios}
-    for j, cid in enumerate(unseen_centers.class_ids):
-        truth = labels == cid
-        n_c = int(truth.sum())
+    for j, cid in enumerate(class_ids):
+        n_c = int(counts[j])
         if n_c == 0:
             raise InvalidInputError(f"unseen class {int(cid)} has no test instances")
-        ranked = truth[np.argsort(d[j], kind="stable")]
-        for ratio, per_class in precisions.items():
-            k = int(np.ceil(ratio * n_c))
-            per_class.append(float(ranked[:k].sum()) / k)
+        ks = [int(np.ceil(ratio * n_c)) for ratio in precisions]
+        nearest = _nearest_rows(d[j], max(ks))
+        hits = np.cumsum(positions[nearest] == j)
+        for k, per_class in zip(ks, precisions.values()):
+            per_class.append(float(hits[min(k, hits.size) - 1]) / k)
     return {ratio: float(np.mean(per_class)) for ratio, per_class in precisions.items()}
+
+
+def _nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
+    """The first min(k, rows) indices of the stable ascending sort of `dist`
+    (equal distances to the smaller index), possibly followed by more: every
+    row at or below the k-th smallest distance, ties included, found by one
+    partition and ordered by a stable sort of those rows only."""
+    near = np.arange(dist.size)
+    if k < dist.size:
+        kth = np.partition(dist, k - 1)[k - 1]
+        if not np.isnan(kth):  # NaN sorts last: then every row is a candidate
+            near = np.flatnonzero(dist <= kth)
+    return near[np.argsort(dist[near], kind="stable")]
 
 
 # --------------------------------------------------------------------------

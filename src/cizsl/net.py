@@ -396,8 +396,18 @@ class Generator:
             raise InvalidInputError(
                 f"noise shape {z.shape} does not match batch {t.shape[:-1]} x {self.noise_dim}")
         e, e_cache = self.embed.forward_cached(t)
-        x, t_cache = self.trunk.forward_cached(np.concatenate([e, z], axis=-1))
+        x, t_cache = self.trunk.forward_cached(self.trunk_input(e, z))
         return x, GeneratorCache(embed=e_cache, trunk=t_cache)
+
+    def trunk_input(self, e: np.ndarray, z: np.ndarray, repeats: int = 1) -> np.ndarray:
+        """The trunk's input rows [e; z]: each embedding row of `e` taken
+        `repeats` times in a row, each copy joined with its own noise row of
+        `z`, which has `repeats` rows per row of `e`."""
+        e_dim = e.shape[-1]
+        x = np.empty(e.shape[:-1] + (repeats, e_dim + self.noise_dim))
+        x[..., :e_dim] = e[..., None, :]
+        x[..., e_dim:] = z.reshape(x.shape[:-1] + (self.noise_dim,))
+        return x.reshape(z.shape[:-1] + x.shape[-1:])
 
     def backward(self, cache: GeneratorCache, d_out: np.ndarray):
         """Gradients of sum(d_out * output): (flat params, d_t, d_z)."""

@@ -113,6 +113,28 @@ class TestManifestRoundTrip:
         with pytest.raises(DatasetFormatError, match="duplicate class id"):
             load_dataset(tmp_path / "ds.json")
 
+    @pytest.mark.parametrize("cid", [-1, 2**32, 2**32 + 1])
+    def test_class_id_outside_u32_rejected_before_writing(self, tmp_path, cid):
+        # the label blob is u32: -1 would load as 4294967295, 2**32 + 1 as 1
+        ds = make_synthetic(small_config())
+        ids = ds.class_ids.copy()
+        ids[0] = cid
+        ds = replace(ds, class_ids=ids,
+                     labels=np.where(ds.labels == ds.class_ids[0], cid, ds.labels))
+        with pytest.raises(InvalidInputError, match=f"class id {cid} "):
+            save_dataset(ds, tmp_path / "out" / "ds.json")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cid", [0, 2**32 - 1])
+    def test_class_ids_at_the_u32_ends_round_trip(self, tmp_path, cid):
+        ds = make_synthetic(small_config())
+        ids = ds.class_ids.copy()
+        ids[0] = cid
+        ds = replace(ds, class_ids=ids,
+                     labels=np.where(ds.labels == ds.class_ids[0], cid, ds.labels))
+        save_dataset(ds, tmp_path / "ds.json")
+        assert datasets_equal(ds, load_dataset(tmp_path / "ds.json"))
+
     def test_fixed_seed_reproduces_bytes(self, tmp_path):
         for sub in ("a", "b"):
             d = tmp_path / sub
@@ -142,7 +164,7 @@ class TestSynthetic:
         cfg = small_config(descriptor_noise=0.4, feature_noise=0.0, nonlinear=False)
         ds = make_synthetic(cfg)
         for cid in ds.class_ids[:4]:
-            rows = ds.instances_of(int(cid))
+            rows = ds.features[ds.labels == cid]
             assert np.max(np.abs(rows - rows[0])) == 0.0
 
     def test_determinism_and_seed_sensitivity(self):
@@ -188,7 +210,7 @@ class TestClassMeans:
         ds = make_synthetic(small_config(instances_per_class=1))
         cid = int(ds.class_ids[0])
         np.testing.assert_array_equal(class_means(ds, [cid])[0],
-                                      ds.instances_of(cid)[0])
+                                      ds.features[ds.labels == cid][0])
 
     def test_two_instances_hand_case(self):
         ds = make_synthetic(small_config())
@@ -210,8 +232,18 @@ class TestClassMeans:
         missing = int(ds.unseen_class_ids[0])
         ds2 = replace(ds, features=ds.features[ds.labels != missing],
                       labels=ds.labels[ds.labels != missing])
-        with pytest.raises(InvalidInputError):
-            class_means(ds2, [missing])
+        with pytest.raises(InvalidInputError, match=f"class {missing} has no instances"):
+            class_means(ds2, [int(ds.class_ids[0]), missing])
+
+    def test_bit_equal_to_masked_means_of_shuffled_rows(self):
+        # rows in no class order; requested order kept and repeated ids
+        # allowed; each mean reduces its class's rows in dataset order
+        ds = make_synthetic(small_config(instances_per_class=7))
+        perm = np.random.default_rng(5).permutation(ds.n_instances)
+        ds = replace(ds, features=ds.features[perm], labels=ds.labels[perm])
+        ids = [int(c) for c in ds.class_ids[::-1]] + [int(ds.class_ids[2])] * 2
+        expected = np.array([ds.features[ds.labels == c].mean(axis=0) for c in ids])
+        assert np.array_equal(class_means(ds, ids), expected)
 
 
 class TestSplitTrainVal:
@@ -237,7 +269,7 @@ class TestSplitTrainVal:
         assert set(int(c) for c in train.unseen_class_ids) == \
             set(int(c) for c in val.class_ids)
         for c in train.unseen_class_ids:
-            assert train.instances_of(int(c)).shape[0] > 0
+            assert np.any(train.labels == c)
 
     def test_deterministic(self):
         ds = make_synthetic(small_config())

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from cizsl.errors import InvalidInputError
-from cizsl.evaluate import (ClassCenters, _distances, curve_csv, curve_svg, harmonic_mean,
-                            retrieval_precision, seen_unseen_curve,
-                            synthesize_centers, trapezoid_auc, zsl_top1)
+from cizsl.evaluate import (CENTER_BLOCK_ROWS, ClassCenters, _distances, curve_csv,
+                            curve_svg, harmonic_mean, retrieval_precision,
+                            seen_unseen_curve, synthesize_centers, trapezoid_auc,
+                            zsl_top1)
 from cizsl.net import Generator, GeneratorArch, Layer, MlpNetwork, build_generator
 from cizsl.numerics import RngStream
 
@@ -64,6 +65,76 @@ class TestSynthesizeCenters:
         a = synthesize_centers(gen, {1: t1, 2: t2}, 7, RngStream(1, 0))
         b = synthesize_centers(gen, {2: t2, 1: t1}, 7, RngStream(1, 0))
         np.testing.assert_array_equal(a.centers, b.centers)
+
+    @staticmethod
+    def per_class_loop(gen, descriptors, n, rng):
+        """One generator pass per class over n copies of its descriptor."""
+        return np.array([
+            gen.forward(np.repeat(np.asarray(descriptors[c], dtype=float)[None], n, axis=0),
+                        rng.derive(c).normal((n, gen.noise_dim))).mean(axis=0)
+            for c in sorted(descriptors)])
+
+    @pytest.mark.parametrize("k,n", [
+        (7, 60),                         # blocks of 4 classes and a last one of 3
+        (3, CENTER_BLOCK_ROWS + 44),     # one class per block, beyond the budget
+        (1, 60),                         # one embedding row: a matrix-vector product
+        (11, 1)])
+    def test_blocked_matches_per_class_loop(self, k, n):
+        # each class keeps its own noise stream; the one-row embedding and
+        # the block-sized products may sum in another order than the loop's
+        rng = RngStream(21, 0)
+        gen = build_generator(GeneratorArch(text_dim=10, noise_dim=6, output_dim=32,
+                                            embed_dim=12, hidden_dims=(40,)), rng)
+        ids = [int(c) for c in rng.permutation(100)[:k] + 1]
+        descriptors = {c: rng.normal(10) for c in ids}
+        loop = self.per_class_loop(gen, descriptors, n, RngStream(4, 2))
+        out = synthesize_centers(gen, descriptors, n, RngStream(4, 2))
+        np.testing.assert_array_equal(out.class_ids, sorted(ids))
+        delta = np.max(np.abs(out.centers - loop))
+        print(f"K={k} n={n}: max |centers - per-class loop| = {delta:.3g}")
+        assert delta <= 1e-14 * max(1.0, np.max(np.abs(loop)))
+
+    def test_blocks_independent_of_dict_order(self):
+        rng = RngStream(22, 0)
+        gen = build_generator(GeneratorArch(text_dim=5, noise_dim=3, output_dim=8), rng)
+        n = CENTER_BLOCK_ROWS // 3 + 1   # two classes per block
+        descriptors = {int(c): rng.normal(5) for c in rng.permutation(9) * 3}
+        shuffled = {c: descriptors[c] for c in reversed(list(descriptors))}
+        a = synthesize_centers(gen, descriptors, n, RngStream(6, 0))
+        b = synthesize_centers(gen, shuffled, n, RngStream(6, 0))
+        np.testing.assert_array_equal(a.class_ids, b.class_ids)
+        np.testing.assert_array_equal(a.centers, b.centers)
+
+    def test_descriptor_of_wrong_dim_rejected(self):
+        gen = build_generator(GeneratorArch(text_dim=4, noise_dim=2, output_dim=3),
+                              RngStream(0, 0))
+        with pytest.raises(InvalidInputError, match="descriptor of class 5"):
+            synthesize_centers(gen, {1: np.zeros(4), 5: np.zeros(3)}, 2, RngStream(0, 0))
+
+    def test_memory_does_not_grow_with_class_count(self):
+        # the trunk runs over blocks of at most CENTER_BLOCK_ROWS rows, so
+        # only the K x D centers, the K embeddings and the K descriptor rows
+        # grow with the class count; one pass over all K x n rows would take
+        # 10x the memory
+        rng = RngStream(23, 0)
+        n, d = 60, 256
+        gen = build_generator(GeneratorArch(text_dim=32, noise_dim=16, output_dim=d,
+                                            embed_dim=64, hidden_dims=(512,)), rng)
+        descriptors = {c: rng.normal(32) for c in range(400)}
+        peaks = {}
+        for k in (40, 400):
+            subset = {c: descriptors[c] for c in range(k)}
+            synthesize_centers(gen, subset, n, RngStream(1, 0))  # first-call imports
+            tracemalloc.start()
+            try:
+                synthesize_centers(gen, subset, n, RngStream(1, 0))
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        print(f"synthesize_centers peak: {peaks[40] / 2**20:.2f} MB at 40 classes, "
+              f"{peaks[400] / 2**20:.2f} MB at 400")
+        assert peaks[400] - peaks[40] <= 1.25 * 360 * (d + 64 + 32) * 8
+        assert peaks[400] <= 1.5 * peaks[40]
 
 
 class TestClassCenters:
@@ -500,9 +571,35 @@ class TestRetrieval:
                 per.append(hits / k)
             assert out[ratio] == pytest.approx(np.mean(per), abs=1e-12)
 
+    @pytest.mark.parametrize("metric", ["l2", "cosine"])
+    def test_matches_full_stable_sort(self, metric):
+        # features on a coarse grid force many equal distances; classes of
+        # unequal size, and ratios whose k passes the class size and the
+        # whole test set
+        rng = RngStream(24, 0)
+        n = 300
+        feats = rng.integers(-2, 3, (n, 3)).astype(float)
+        ids = np.array([3, 8, 11, 40])
+        labels = np.concatenate([ids[rng.integers(0, 4, n - 40)], np.full(40, 8)])
+        labels[rng.integers(0, n, 30)] = 77          # rows of no unseen class
+        centers = centers_of(ids, rng.integers(-1, 2, (4, 3)).astype(float))
+        ratios = (0.1, 0.25, 1.0, 2.5, 1000.0)
+        out = retrieval_precision(feats, labels, centers, ratios=ratios, metric=metric)
+        d = _distances(feats, centers.centers, metric)
+        assert len(np.unique(d)) < d.size / 10
+        expected = {}
+        for ratio in ratios:
+            per = []
+            for j, cid in enumerate(ids):
+                truth = labels == cid
+                k = int(np.ceil(ratio * truth.sum()))
+                per.append(float(truth[np.argsort(d[:, j], kind="stable")][:k].sum()) / k)
+            expected[ratio] = float(np.mean(per))
+        assert out == expected
+
     def test_class_without_instances_rejected(self):
         centers = centers_of([1, 2], [[0.0], [1.0]])
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="unseen class 2"):
             retrieval_precision(np.array([[0.0]]), np.array([1]), centers)
 
     @pytest.mark.parametrize("ratio", [0.0, -0.5, float("nan"), float("inf")])
