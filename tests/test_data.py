@@ -113,25 +113,23 @@ class TestManifestRoundTrip:
         with pytest.raises(DatasetFormatError, match="duplicate class id"):
             load_dataset(tmp_path / "ds.json")
 
+    @staticmethod
+    def first_class_renamed(cid):
+        ds = make_synthetic(small_config())
+        first = ds.class_ids[0]
+        return replace(ds, class_ids=np.where(ds.class_ids == first, cid, ds.class_ids),
+                       labels=np.where(ds.labels == first, cid, ds.labels))
+
     @pytest.mark.parametrize("cid", [-1, 2**32, 2**32 + 1])
     def test_class_id_outside_u32_rejected_before_writing(self, tmp_path, cid):
         # the label blob is u32: -1 would load as 4294967295, 2**32 + 1 as 1
-        ds = make_synthetic(small_config())
-        ids = ds.class_ids.copy()
-        ids[0] = cid
-        ds = replace(ds, class_ids=ids,
-                     labels=np.where(ds.labels == ds.class_ids[0], cid, ds.labels))
         with pytest.raises(InvalidInputError, match=f"class id {cid} "):
-            save_dataset(ds, tmp_path / "out" / "ds.json")
+            save_dataset(self.first_class_renamed(cid), tmp_path / "out" / "ds.json")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("cid", [0, 2**32 - 1])
     def test_class_ids_at_the_u32_ends_round_trip(self, tmp_path, cid):
-        ds = make_synthetic(small_config())
-        ids = ds.class_ids.copy()
-        ids[0] = cid
-        ds = replace(ds, class_ids=ids,
-                     labels=np.where(ds.labels == ds.class_ids[0], cid, ds.labels))
+        ds = self.first_class_renamed(cid)
         save_dataset(ds, tmp_path / "ds.json")
         assert datasets_equal(ds, load_dataset(tmp_path / "ds.json"))
 
