@@ -572,30 +572,33 @@ class TestRetrieval:
             assert out[ratio] == pytest.approx(np.mean(per), abs=1e-12)
 
     @pytest.mark.parametrize("metric", ["l2", "cosine"])
-    def test_matches_full_stable_sort(self, metric):
+    @pytest.mark.parametrize("nan_rows", [0, 250])
+    def test_matches_full_stable_sort(self, metric, nan_rows):
         # features on a coarse grid force many equal distances; classes of
-        # unequal size, and ratios whose k passes the class size and the
-        # whole test set
+        # unequal size; ratios whose k passes the class size (the selection
+        # then runs at 2.5 n_c) and one past the whole test set (no
+        # selection); NaN distances sort last, also when the k-th is NaN
         rng = RngStream(24, 0)
         n = 300
         feats = rng.integers(-2, 3, (n, 3)).astype(float)
+        feats[:nan_rows] = np.nan
         ids = np.array([3, 8, 11, 40])
         labels = np.concatenate([ids[rng.integers(0, 4, n - 40)], np.full(40, 8)])
         labels[rng.integers(0, n, 30)] = 77          # rows of no unseen class
         centers = centers_of(ids, rng.integers(-1, 2, (4, 3)).astype(float))
-        ratios = (0.1, 0.25, 1.0, 2.5, 1000.0)
-        out = retrieval_precision(feats, labels, centers, ratios=ratios, metric=metric)
         d = _distances(feats, centers.centers, metric)
         assert len(np.unique(d)) < d.size / 10
-        expected = {}
-        for ratio in ratios:
-            per = []
-            for j, cid in enumerate(ids):
-                truth = labels == cid
-                k = int(np.ceil(ratio * truth.sum()))
-                per.append(float(truth[np.argsort(d[:, j], kind="stable")][:k].sum()) / k)
-            expected[ratio] = float(np.mean(per))
-        assert out == expected
+        for ratios in ((0.1, 0.25, 1.0, 2.5), (0.5, 1000.0)):
+            expected = {}
+            for ratio in ratios:
+                per = []
+                for j, cid in enumerate(ids):
+                    truth = labels == cid
+                    k = int(np.ceil(ratio * truth.sum()))
+                    per.append(float(truth[np.argsort(d[:, j], kind="stable")][:k].sum()) / k)
+                expected[ratio] = float(np.mean(per))
+            assert retrieval_precision(feats, labels, centers, ratios=ratios,
+                                       metric=metric) == expected
 
     def test_class_without_instances_rejected(self):
         centers = centers_of([1, 2], [[0.0], [1.0]])
