@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -113,16 +112,10 @@ def _typed(value, hint, name: str):
     raise InvalidConfigError(f"{name} must be of type {hint.__name__}, got {value!r}")
 
 
-@functools.cache
-def _field_types(cls) -> dict:
-    """The annotated field types of a config section, resolved once per class."""
-    return typing.get_type_hints(cls)
-
-
 def _build_section(cls, raw: dict, section: str):
     if not isinstance(raw, dict):
         raise InvalidConfigError(f"config section {section!r} must be a JSON object")
-    hints = _field_types(cls)
+    hints = typing.get_type_hints(cls)
     for key in raw:
         if key not in hints:
             raise InvalidConfigError(f"unknown field {section}.{key!r}")
@@ -218,8 +211,8 @@ def _load_eval_inputs(args):
 
 
 def _unseen_centers(cfg, dataset, gen) -> ClassCenters:
-    unseen = ~dataset.seen_mask
-    descriptors = dict(zip(dataset.class_ids[unseen].tolist(), dataset.descriptors[unseen]))
+    descriptors = {int(c): dataset.descriptor_of(int(c))
+                   for c in dataset.unseen_class_ids}
     if not descriptors:
         raise InvalidInputError("dataset has no unseen classes to evaluate")
     return synthesize_centers(gen, descriptors, cfg.eval.samples_per_center,
@@ -308,9 +301,7 @@ def cmd_sweep_lambda(args) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="cizsl",
         description="Creativity-regularized zero-shot feature generation lab")

@@ -264,7 +264,7 @@ def retrieval_precision(features: np.ndarray, labels: np.ndarray,
     class_ids = unseen_centers.class_ids
     positions = _class_positions(labels, class_ids)
     counts = np.bincount(positions, minlength=class_ids.size + 1)
-    d = np.ascontiguousarray(_distances(features, unseen_centers.centers, metric).T)
+    d = _distances(features, unseen_centers.centers, metric).T
     precisions = {float(ratio): [] for ratio in ratios}
     for j, cid in enumerate(class_ids):
         n_c = int(counts[j])

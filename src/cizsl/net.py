@@ -403,11 +403,8 @@ class Generator:
         """The trunk's input rows [e; z]: each embedding row of `e` taken
         `repeats` times in a row, each copy joined with its own noise row of
         `z`, which has `repeats` rows per row of `e`."""
-        e_dim = e.shape[-1]
-        x = np.empty(e.shape[:-1] + (repeats, e_dim + self.noise_dim))
-        x[..., :e_dim] = e[..., None, :]
-        x[..., e_dim:] = z.reshape(x.shape[:-1] + (self.noise_dim,))
-        return x.reshape(z.shape[:-1] + x.shape[-1:])
+        return np.concatenate([np.repeat(e, repeats, axis=-2) if repeats > 1 else e, z],
+                              axis=-1)
 
     def backward(self, cache: GeneratorCache, d_out: np.ndarray):
         """Gradients of sum(d_out * output): (flat params, d_t, d_z)."""
