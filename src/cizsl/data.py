@@ -24,8 +24,12 @@ BLOB_MAGIC = b"CZFD"
 BLOB_VERSION = 1
 LABEL_MAX = 2**32 - 1
 
-_MANIFEST_CLASS_KEYS = {"id", "name", "super", "seen", "descriptor_blob",
-                        "descriptor_row"}
+# each class entry's fields and their JSON types: a bool is no integer and a
+# float with a zero fraction no id
+_MANIFEST_CLASS_KEYS = {"id": int, "name": str, "super": int, "seen": bool,
+                        "descriptor_blob": str, "descriptor_row": int}
+_JSON_TYPE_NAMES = {int: "a 64-bit integer", bool: "a boolean", str: "a string",
+                    list: "a list"}
 
 
 @dataclass
@@ -191,6 +195,16 @@ def save_dataset(dataset: ZslDataset, manifest_path) -> None:
         f.write("\n")
 
 
+def _json_field(obj: dict, key: str, kind: type, where: str):
+    """`obj[key]`, which must be exactly of the JSON type `kind`; integers
+    must also fit the int64 id columns."""
+    value = obj[key]
+    if type(value) is not kind or kind is int and not -2**63 <= value < 2**63:
+        raise DatasetFormatError(
+            f"{where} field {key!r} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def load_dataset(manifest_path) -> ZslDataset:
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -200,40 +214,42 @@ def load_dataset(manifest_path) -> ZslDataset:
             manifest = json.load(f)
     except json.JSONDecodeError as e:
         raise DatasetFormatError(f"manifest is not valid JSON: {e}") from e
-    for key in ("classes", "features_blob", "labels_blob"):
+    if not isinstance(manifest, dict):
+        raise DatasetFormatError("manifest must be a JSON object")
+    for key, kind in (("classes", list), ("features_blob", str), ("labels_blob", str)):
         if key not in manifest:
             raise DatasetFormatError(f"manifest missing field {key!r}")
+        _json_field(manifest, key, kind, "manifest")
     base = manifest_path.parent
     features = read_blob(base / manifest["features_blob"], "<f8")
     labels = read_blob(base / manifest["labels_blob"], "<u4").ravel().astype(np.int64)
 
     desc_cache: dict[str, np.ndarray] = {}
-    ids, names, supers, seen, desc_rows = [], [], [], [], []
-    for entry in manifest["classes"]:
-        missing = _MANIFEST_CLASS_KEYS - set(entry)
+    entries, desc_rows = [], []
+    for i, entry in enumerate(manifest["classes"]):
+        if not isinstance(entry, dict):
+            raise DatasetFormatError(f"class entry {i} must be an object, got {entry!r}")
+        missing = _MANIFEST_CLASS_KEYS.keys() - entry.keys()
         if missing:
-            raise DatasetFormatError(f"class entry missing fields {sorted(missing)}")
-        blob = entry["descriptor_blob"]
+            raise DatasetFormatError(f"class entry {i} missing fields {sorted(missing)}")
+        entries.append({key: _json_field(entry, key, kind, f"class entry {i}")
+                        for key, kind in _MANIFEST_CLASS_KEYS.items()})
+        blob, row = entry["descriptor_blob"], entry["descriptor_row"]
         if blob not in desc_cache:
             desc_cache[blob] = read_blob(base / blob, "<f8")
         table = desc_cache[blob]
-        row = int(entry["descriptor_row"])
         if not 0 <= row < table.shape[0]:
             raise DatasetFormatError(
                 f"descriptor_row {row} out of range for blob {blob}")
-        ids.append(int(entry["id"]))
-        names.append(str(entry["name"]))
-        supers.append(int(entry["super"]))
-        seen.append(bool(entry["seen"]))
         desc_rows.append(table[row])
     return ZslDataset(
         features=features,
         labels=labels,
-        class_ids=np.array(ids, dtype=np.int64),
-        class_names=names,
+        class_ids=np.array([e["id"] for e in entries], dtype=np.int64),
+        class_names=[e["name"] for e in entries],
         descriptors=np.array(desc_rows, dtype=np.float64),
-        super_ids=np.array(supers, dtype=np.int64),
-        seen_mask=np.array(seen, dtype=bool),
+        super_ids=np.array([e["super"] for e in entries], dtype=np.int64),
+        seen_mask=np.array([e["seen"] for e in entries], dtype=bool),
     ).validate()
 
 
@@ -358,13 +374,13 @@ def class_means(dataset: ZslDataset, class_ids) -> np.ndarray:
 
 
 def split_train_val(dataset: ZslDataset, ratio: float = 0.8,
-                    seed: int = 0) -> tuple[ZslDataset, ZslDataset]:
+                    seed: int = 0) -> ZslDataset:
     """Class-level split of the seen classes.
 
-    Returns (train, holdout): `train` keeps the training classes seen and
-    re-flags the held-out classes as pseudo-unseen (their instances stay in
-    the dataset as the validation pool, which training never reads);
-    `holdout` is a standalone dataset of just the held-out classes.
+    Returns the seen classes and their instances with the training classes
+    flagged seen and the held-out classes re-flagged as pseudo-unseen: their
+    instances stay in the dataset as the validation pool, which training
+    never reads. Unseen classes are dropped.
     """
     seen_ids = np.sort(dataset.seen_class_ids)
     if seen_ids.size < 2:
@@ -377,8 +393,4 @@ def split_train_val(dataset: ZslDataset, ratio: float = 0.8,
         raise InvalidSplitError(f"ratio {ratio} leaves 0 training classes")
     perm = RngStream(seed, 102).permutation(seen_ids.size)
     train_ids = seen_ids[perm[:n_train]]
-    val_ids = seen_ids[perm[n_train:]]
-    keep = np.concatenate([train_ids, val_ids])
-    train_ds = dataset.restrict_to(keep).with_seen_flags(train_ids)
-    val_ds = dataset.restrict_to(val_ids).with_seen_flags(val_ids)
-    return train_ds, val_ds
+    return dataset.restrict_to(seen_ids).with_seen_flags(train_ids)

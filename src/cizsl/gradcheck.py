@@ -150,15 +150,15 @@ def run_gradient_contract(seed: int = 0, n_configs: int = 20) -> GradReport:
         logits0 = rng.normal((m, k_cls))
 
         # penalty: value + parameter gradient
-        x_hat = rng.normal((m, x_dim))
+        x_hat = rng.normal((1, m, x_dim))
         _, grad_pen, _ = gradient_penalty(disc, disc.net.forward_cached(x_hat)[1])
         fd = _param_fd(disc, lambda: gradient_penalty(
-            disc, disc.net.forward_cached(x_hat)[1])[0])
+            disc, disc.net.forward_cached(x_hat)[1])[0][0])
         record("lipschitz_penalty", relative_error(grad_pen, fd))
 
         # creativity term w.r.t. its logits and (gamma, beta), bounds frozen
-        t_h = rng.normal((m, t_dim))
-        z_h = rng.normal((m, z_dim))
+        t_h = rng.normal((1, m, t_dim))
+        z_h = rng.normal((1, m, z_dim))
         lam = float(rng.uniform(0.3, 2.0))
         bounds = _entropy_bounds(logits0, params)
         _, d_logits, grad_div, _ = creativity_loss(logits0, lam, params)
@@ -184,28 +184,28 @@ def run_gradient_contract(seed: int = 0, n_configs: int = 20) -> GradReport:
             record("creativity_loss_dbeta", relative_error(np.array([grad_div[1]]), fd_b))
 
         # visual pivot w.r.t. the generated rows
-        x_p = rng.normal((m + 1, x_dim))
-        y_p = np.arange(m + 1) % 2
+        x_p = rng.normal((1, m + 1, x_dim))
+        y_p = np.arange(m + 1)[None] % 2
         centers_p = rng.normal((2, x_dim))
         _, d_x_p = visual_pivot(x_p, y_p, centers_p)
         fd = finite_diff_gradient(
-            lambda xf: visual_pivot(xf.reshape(x_p.shape), y_p, centers_p)[0],
+            lambda xf: visual_pivot(xf.reshape(x_p.shape), y_p, centers_p)[0][0],
             x_p.ravel().copy(), 1e-6)
         record("visual_pivot", relative_error(d_x_p.ravel(), fd))
 
         # full generator loss (all four terms, the chain from the creativity
         # term's logits into G included) and critic loss incl. the penalty
-        # (double backprop path); the extra-class variants fold the labels
-        # into the first k_cls - 1 classes, so they draw nothing
+        # (double backprop path), at B = 1; the extra-class variants fold the
+        # labels into the first k_cls - 1 classes, so they draw nothing
         x_h = gen.forward(t_h, z_h)
-        bounds_c = _entropy_bounds(disc.forward(x_h)[1], params)
-        y_s = rng.integers(0, k_cls, m)
-        t_s = rng.normal((m, t_dim))
-        z_s = rng.normal((m, z_dim))
+        bounds_c = _entropy_bounds(disc.forward(x_h)[1][0], params)
+        y_s = rng.integers(0, k_cls, (1, m))
+        t_s = rng.normal((1, m, t_dim))
+        z_s = rng.normal((1, m, z_dim))
         centers_all = rng.normal((k_cls, x_dim))
-        x_real = rng.normal((m, x_dim))
-        y_real = rng.integers(0, k_cls, m)
-        eps = rng.uniform(0.0, 1.0, m)
+        x_real = rng.normal((1, m, x_dim))
+        y_real = rng.integers(0, k_cls, (1, m))
+        eps = rng.uniform(0.0, 1.0, (1, m))
         gp_w = float(rng.uniform(0.5, 5.0))
         x_fake = gen.forward(t_s, z_s)
         for suffix, extra in (("", False), ("_extra_class", True)):
@@ -213,18 +213,18 @@ def run_gradient_contract(seed: int = 0, n_configs: int = 20) -> GradReport:
             y_g, y_d = y_s % n_seen, y_real % n_seen
 
             def gen_loss():
-                return generator_loss(gen, disc, t_s, y_g, z_s, t_h, z_h, lam, params,
+                return generator_loss(gen, disc, t_s, y_g, z_s, t_h, z_h, [lam], [params],
                                       centers_all, extra_class=extra,
-                                      norm_bounds=bounds_c)
+                                      norm_bounds=[bounds_c])
 
             def disc_loss():
                 return discriminator_loss(disc, x_real, y_d, x_fake, y_g, gp_w, eps,
                                           extra_class=extra, x_h=x_h)
 
             record("generator_loss" + suffix, relative_error(
-                gen_loss().grad_gen, _param_fd(gen, lambda: gen_loss().value)))
+                gen_loss().grad_gen, _param_fd(gen, lambda: gen_loss().value[0])))
             record("discriminator_loss" + suffix, relative_error(
-                disc_loss().grad_disc, _param_fd(disc, lambda: disc_loss().value)))
+                disc_loss().grad_disc, _param_fd(disc, lambda: disc_loss().value[0])))
 
     tolerances = {"lipschitz_penalty": TOL_PENALTY,
                   "discriminator_loss": TOL_PENALTY,

@@ -1,7 +1,9 @@
 """Training losses: the creativity term over hallucinated descriptors, the
 four-term generator objective, the critic loss with the Lipschitz penalty,
-and the visual-pivot regularizer. Each loss returns its value together with
-exact analytic gradients, verified against central differences in the tests.
+and the visual-pivot regularizer. The objectives and the pivot take rows
+with a leading axis of B models (B = 1 for one model) and return one value
+per model, with exact analytic gradients verified against central
+differences in the tests; `creativity_loss` is one model's term.
 """
 from __future__ import annotations
 
@@ -74,36 +76,17 @@ def _check_labels(labels: np.ndarray, k: int) -> None:
             f"label outside the seen-class range [0, {k}): {labels.min()}..{labels.max()}")
 
 
-def _per_model(stacked: bool, a, rows: bool = True) -> np.ndarray:
-    """`a` with a leading model axis: a stack's arrays already have one; a
-    single model's rows (or labels) get one of length 1."""
-    a = np.asarray(a, dtype=np.float64 if rows else None)
-    if stacked:
-        return a
-    return (np.atleast_2d(a) if rows else a)[None]
-
-
 @dataclass
 class LossResult:
-    """A loss of one model, or of a stack of B models: then `value`, each
-    part and the rows of `grad_divergence` hold one entry per model, and the
-    parameter gradients are (B, n)."""
+    """The loss of B models: `value` and each part hold one entry per model,
+    `grad_divergence` one (d/dgamma, d/dbeta) row per model, and the
+    parameter gradients are shaped like the models' `params`."""
 
-    value: float | np.ndarray
+    value: np.ndarray
     grad_gen: np.ndarray | None = None
     grad_disc: np.ndarray | None = None
-    grad_divergence: tuple[float, float] | np.ndarray = (0.0, 0.0)
+    grad_divergence: np.ndarray | None = None
     parts: dict = field(default_factory=dict)
-
-
-def _result(stacked: bool, value, parts: dict, **grads) -> LossResult:
-    """The loss of a stack as computed, or of a single model as floats."""
-    if not stacked:
-        value = float(value[0])
-        parts = {k: float(v[0]) for k, v in parts.items()}
-        if "grad_divergence" in grads:
-            grads["grad_divergence"] = tuple(float(g) for g in grads["grad_divergence"][0])
-    return LossResult(value=value, parts=parts, **grads)
 
 
 def creativity_loss(logits: np.ndarray, lam: float, div_params: DivergenceParams,
@@ -143,16 +126,13 @@ def creativity_loss(logits: np.ndarray, lam: float, div_params: DivergenceParams
 def visual_pivot(x: np.ndarray, labels: np.ndarray, centers: np.ndarray):
     """Mean squared distance between the per-class means of the rows of `x`
     and the real class means `centers[label]`, averaged over the classes
-    present in `labels`.
+    present in `labels`, for each of B models.
 
-    Returns (value, d value / d x). For per-model rows `x` (B, rows, D) with
-    labels (B, rows), each model's value is its own and the value is (B,).
+    Takes per-model rows `x` (B, rows, D) with labels (B, rows); returns
+    ((B,) values, d value / d x).
     """
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
-    if x.ndim == 2:
-        value, d_x = visual_pivot(x[None], labels[None], centers)
-        return float(value[0]), d_x[0]
     n_models, _, dim = x.shape
     k = centers.shape[0]
     # one key per (model, class): each model's classes form a run of keys
@@ -188,24 +168,21 @@ def generator_loss(gen: Generator, disc: Discriminator, t_s: np.ndarray,
     hallucinated rows and the creativity term are dropped entirely (the
     non-creative baseline).
 
-    For stacks `gen` and `disc` of B models, the rows carry a leading model
-    axis, and `lam`, `div_params` and `norm_bounds` (when given) are
-    sequences of one entry per model.
+    `gen` and `disc` hold B models (B = 1 for a single model): every row and
+    label array carries a leading model axis of length B, and `lam`,
+    `div_params` and `norm_bounds` (when given) are sequences of one entry
+    per model.
     """
-    stacked = gen.members is not None
     k_cls = disc.n_classes - (1 if extra_class else 0)
-    y_s = _per_model(stacked, y_s, rows=False)
+    y_s = np.asarray(y_s)
     _check_labels(y_s, k_cls)
-    lams, divs, bounds = (lam, div_params, norm_bounds) if stacked else (
-        [lam], [div_params], [norm_bounds])
-    if bounds is None:
-        bounds = [None] * len(lams)
-    t = _per_model(stacked, t_s)
-    z = _per_model(stacked, z_s)
-    m = t.shape[1]
+    if norm_bounds is None:
+        norm_bounds = [None] * len(lam)
+    t, z = t_s, z_s
+    m = y_s.shape[1]
     if creativity_enabled:
-        t = np.concatenate([t, _per_model(stacked, t_h)], axis=1)
-        z = np.concatenate([z, _per_model(stacked, z_h)], axis=1)
+        t = np.concatenate([t_s, t_h], axis=1)
+        z = np.concatenate([z_s, z_h], axis=1)
 
     x, g_cache = gen.forward_cached(t, z)
     (real, logits), d_cache = disc.forward_cached(x)
@@ -231,7 +208,7 @@ def generator_loss(gen: Generator, disc: Discriminator, t_s: np.ndarray,
         # per model: lambda, (gamma, beta) and the batch min-max are its own
         for b in range(n_models):
             term[b], d_logits[b, m:], grad_div[b], mean_entropy[b] = creativity_loss(
-                logits[b, m:], lams[b], divs[b], norm_bounds=bounds[b],
+                logits[b, m:], lam[b], div_params[b], norm_bounds=norm_bounds[b],
                 extra_class=extra_class)
         d_real[:, m:] = -1.0 / n_h
         creativity = -real[:, m:].sum(axis=-1) / n_h + term
@@ -244,7 +221,7 @@ def generator_loss(gen: Generator, disc: Discriminator, t_s: np.ndarray,
     del d_cache, real, logits  # free the critic activations before G's backward
     d_x[:, :m] += d_x_pivot
     grad_gen, _, _ = gen.backward(g_cache, d_x)
-    return _result(stacked, value, parts, grad_gen=grad_gen, grad_divergence=grad_div)
+    return LossResult(value=value, grad_gen=grad_gen, grad_divergence=grad_div, parts=parts)
 
 
 def discriminator_loss(disc: Discriminator, x_real: np.ndarray, y_real: np.ndarray,
@@ -262,14 +239,12 @@ def discriminator_loss(disc: Discriminator, x_real: np.ndarray, y_real: np.ndarr
     halved cross-entropy toward the extra (last) class. Gradients are
     w.r.t. the discriminator only; the generated rows are constants.
 
-    For a stack `disc` of B models, every row, label and `gp_eps` array
-    carries a leading model axis.
+    `disc` holds B models (B = 1 for a single model): every row, label and
+    `gp_eps` array carries a leading model axis of length B.
     """
-    stacked = disc.members is not None
-    x_real = _per_model(stacked, x_real)
-    x_fake = _per_model(stacked, x_fake)
-    y_real = _per_model(stacked, y_real, rows=False)
-    y_fake = _per_model(stacked, y_fake, rows=False)
+    x_real = np.asarray(x_real, dtype=np.float64)
+    x_fake = np.asarray(x_fake, dtype=np.float64)
+    y_real, y_fake = np.asarray(y_real), np.asarray(y_fake)
     n_models, m = x_real.shape[:2]
     k_cls = disc.n_classes - (1 if extra_class else 0)
     if x_fake.shape != x_real.shape or not y_fake.shape == y_real.shape == (n_models, m):
@@ -277,12 +252,12 @@ def discriminator_loss(disc: Discriminator, x_real: np.ndarray, y_real: np.ndarr
             f"real batch {x_real.shape} and fake batch {x_fake.shape} misaligned")
     labels = np.concatenate([y_fake, y_real], axis=1)
     _check_labels(labels, k_cls)
-    gp_eps = _per_model(stacked, gp_eps).reshape(n_models, m, 1)
+    gp_eps = np.asarray(gp_eps, dtype=np.float64).reshape(n_models, m, 1)
     rows = [x_fake, x_real]
     if extra_class:
         if x_h is None:
             raise InvalidInputError("extra-class ablation needs a hallucinated batch")
-        rows.append(_per_model(stacked, x_h))
+        rows.append(x_h)
     rows.append(gp_eps * x_real + (1.0 - gp_eps) * x_fake)
     (critic, logits), cache = disc.forward_cached(np.concatenate(rows, axis=1))
     n = critic.shape[1] - m
@@ -313,4 +288,4 @@ def discriminator_loss(disc: Discriminator, x_real: np.ndarray, y_real: np.ndarr
     if extra_class:
         parts["cls_extra"] = 0.5 * (ce[:, 2 * m:].sum(axis=-1) / n_h)
         value = value + parts["cls_extra"]
-    return _result(stacked, value, parts, grad_disc=grad + gp_weight * grad_penalty)
+    return LossResult(value=value, grad_disc=grad + gp_weight * grad_penalty, parts=parts)

@@ -13,8 +13,9 @@ whose `params` has shape (B, n). A stack takes and returns rows of shape
 (B, rows, dim), one block per model, and makes every product one
 `np.matmul` over the B blocks. The joined models become views of their rows
 (the stack's `members`) and keep the single-model shapes: (n,) parameters
-and 2-D rows. A single model runs the same code as a stack of one, and its
-methods also take rows with a leading model axis of 1.
+and 2-D rows in forward passes. A single model runs the same code as a
+stack of one and also takes rows with a model axis of 1; `gradient_penalty`,
+like the losses, answers per model, with B = 1 for one.
 """
 from __future__ import annotations
 
@@ -84,12 +85,10 @@ class Layer:
 class MlpCache:
     """Each layer's input `hs[i]` (the output last), as (B, rows, dim)
     stacks; the sweeps share the activation derivatives `ds`, computed on
-    first use from the layer outputs. `single` records that the forward rows
-    came without a model axis, so the sweeps return rows without one."""
+    first use from the layer outputs."""
 
     hs: list[np.ndarray]
     version: int
-    single: bool = False
     ds: list | None = None
 
     @property
@@ -99,8 +98,7 @@ class MlpCache:
 
     def rows(self, sel: slice) -> "MlpCache":
         """The cache of the forward pass over the rows `sel` of each model alone."""
-        return MlpCache(hs=[h[:, sel] for h in self.hs], version=self.version,
-                        single=self.single)
+        return MlpCache(hs=[h[:, sel] for h in self.hs], version=self.version)
 
 
 def _architecture(net: "MlpNetwork") -> list:
@@ -217,7 +215,7 @@ class MlpNetwork:
             h = np.matmul(h, wt)
             h += b[:, None]
             hs.append(_act(l.activation, h, l.slope))
-        cache = MlpCache(hs=hs, version=self._clock[0], single=x.ndim < 3)
+        cache = MlpCache(hs=hs, version=self._clock[0])
         return h.reshape(x.shape[:-1] + h.shape[-1:]), cache
 
     def _derivatives(self, cache: MlpCache) -> list:
@@ -256,12 +254,13 @@ class MlpNetwork:
         return flat, d.reshape(d_out.shape[:-1] + d.shape[-1:])
 
     def input_grad_rows(self, cache: MlpCache, select: np.ndarray) -> np.ndarray:
-        """Per-row gradient of <select, output> w.r.t. the input rows."""
+        """Per-row gradient of <select, output> w.r.t. the input rows, as a
+        (B, rows, dim) stack."""
         ds = self._derivatives(cache)
         u = np.broadcast_to(select, cache.hs[-1].shape)
         for w, d in zip(reversed(self._w), reversed(ds)):
             u = np.matmul(u * d, w)
-        return u[0] if cache.single else u
+        return u
 
     def grad_of_input_grad(self, cache: MlpCache, select: np.ndarray,
                            v: np.ndarray) -> np.ndarray:
@@ -495,12 +494,8 @@ class Discriminator:
         return self.forward_cached(x)[0]
 
     def forward_cached(self, x: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
         out, cache = self.net.forward_cached(x)
-        real, logits = out[..., 0], out[..., 1:]
-        if x.ndim == 1:
-            return (float(real), logits), cache
-        return (real, logits), cache
+        return (out[..., 0], out[..., 1:]), cache
 
     def backward(self, cache: MlpCache, d_real: np.ndarray, d_logits: np.ndarray):
         """Gradients of sum(d_real * real + d_logits * logits): (flat, d_x)."""
@@ -524,8 +519,8 @@ def gradient_penalty(disc: Discriminator, cache: MlpCache):
     parameters. The cache may be a row slice (`MlpCache.rows`) of a larger
     stacked forward; a standalone caller passes `disc.net.forward_cached(x)[1]`.
 
-    Returns (mean penalty, flat parameter gradient, per-row penalties); for
-    a cache of per-model rows, the mean is one value per model.
+    Returns ((B,) mean penalty per model, parameter gradient shaped like
+    `disc.params`, (B, rows) per-row penalties); a single model is B = 1.
     If a row's input gradient vanishes exactly, its penalty is 1 and the norm
     term's gradient is taken as zero there (documented subgradient choice).
     """
@@ -536,8 +531,7 @@ def gradient_penalty(disc: Discriminator, cache: MlpCache):
                       where=norms > 0.0) / norms.shape[-1]
     v = g * scale[..., None]
     grad = disc.net.grad_of_input_grad(cache, disc._real_select, v)
-    mean = penalties.mean(axis=-1)
-    return (float(mean) if cache.single else mean), grad, penalties
+    return penalties.mean(axis=-1), grad, penalties
 
 
 # --------------------------------------------------------------------------

@@ -85,7 +85,8 @@ class TrainConfig:
 
 @dataclass
 class TrainingHistory:
-    """Per-iteration scalars; the Wasserstein gap is kept in memory only."""
+    """Per-iteration scalars of one model, rows of the training loop's
+    (B, n_steps) arrays; the Wasserstein gap is kept in memory only."""
 
     iteration: np.ndarray
     loss_g: np.ndarray
@@ -125,9 +126,6 @@ def train(dataset: ZslDataset, config: TrainConfig,
     the same model trained in a lockstep grid are bit-identical.
     """
     return train_lockstep(dataset, [config], [snapshot_fn])[0]
-
-
-_HISTORY = ("iteration", "loss_g", "loss_d", "mean_entropy", "gamma", "beta", "w_gap")
 
 
 def _draws(streams, seen_desc: np.ndarray, n_pool: int, config: TrainConfig):
@@ -179,8 +177,7 @@ def train_lockstep(dataset: ZslDataset, configs, snapshot_fns=None) -> list[Trai
     seen_desc = np.array([dataset.descriptor_of(int(c)) for c in seen_ids])
     # the seen rows are read in place through their indices, not copied
     pool = np.flatnonzero(np.isin(dataset.labels, seen_ids))
-    id_to_index = {int(c): i for i, c in enumerate(seen_ids)}
-    y_pool = np.array([id_to_index[int(l)] for l in dataset.labels[pool]])
+    y_pool = np.searchsorted(seen_ids, dataset.labels[pool])
     centers = class_means(dataset, seen_ids)
 
     n_head = seen_ids.size + (1 if config.extra_class_for_hallucinated else 0)
@@ -208,7 +205,9 @@ def train_lockstep(dataset: ZslDataset, configs, snapshot_fns=None) -> list[Trai
     u = np.array([d.learnable_vector() for d in divs])
     state_e = adam_init(u.shape, **opt)
 
-    hist = [{k: [] for k in _HISTORY} for _ in configs]
+    # every model's history: a (B, n_steps) array per TrainingHistory field
+    # after `iteration`, in field order, written one column per iteration
+    hist = np.empty((6, len(configs), config.n_steps))
     use_creativity = config.creativity_enabled
     extra = config.extra_class_for_hallucinated
     d_values = np.empty((len(configs), n_critic))
@@ -256,30 +255,27 @@ def train_lockstep(dataset: ZslDataset, configs, snapshot_fns=None) -> list[Trai
                 f"training diverged at iteration {it} (lambda_creativity "
                 f"{', '.join(f'{lam:g}' for lam in lams)}): {e}", iteration=it) from e
 
-        for b, h in enumerate(hist):
-            loss_g, loss_d = float(res_g.value[b]), float(np.mean(d_values[b]))
-            div = divs[b]
-            if not np.isfinite([loss_g, loss_d, div.gamma, div.beta]).all():
-                raise TrainingDivergedError(
-                    f"training diverged at iteration {it} (lambda_creativity "
-                    f"{lams[b]:g}): loss_g={loss_g}, loss_d={loss_d}, "
-                    f"gamma={div.gamma}, beta={div.beta}", iteration=it)
-            h["iteration"].append(it)
-            h["loss_g"].append(loss_g)
-            h["loss_d"].append(loss_d)
-            h["mean_entropy"].append(float(res_g.parts["mean_entropy"][b]))
-            h["gamma"].append(div.gamma)
-            h["beta"].append(div.beta)
-            h["w_gap"].append(abs(float(np.mean(gaps[b]))))
+        hist[:, :, it - 1] = (res_g.value, d_values.mean(axis=1), res_g.parts["mean_entropy"],
+                              [d.gamma for d in divs], [d.beta for d in divs],
+                              np.abs(gaps.mean(axis=1)))
+        finite = np.isfinite(hist[[0, 1, 3, 4], :, it - 1]).all(axis=0)
+        if not finite.all():
+            b = int(np.argmin(finite))
+            loss_g, loss_d, _, gamma, beta, _ = hist[:, b, it - 1]
+            raise TrainingDivergedError(
+                f"training diverged at iteration {it} (lambda_creativity "
+                f"{lams[b]:g}): loss_g={loss_g}, loss_d={loss_d}, "
+                f"gamma={gamma}, beta={beta}", iteration=it)
 
         if it % config.eval_interval == 0:
             for fn, g, d, div in zip(snapshot_fns, gen.members, disc.members, divs):
                 if fn is not None:
                     fn(it, g, d, div)
 
+    iteration = np.arange(1, config.n_steps + 1)
     return [TrainedModel(generator=g, discriminator=d, divergence=div,
-                         history=TrainingHistory(**{k: np.array(v) for k, v in h.items()}))
-            for g, d, div, h in zip(gen.members, disc.members, divs, hist)]
+                         history=TrainingHistory(iteration, *hist[:, b]))
+            for b, (g, d, div) in enumerate(zip(gen.members, disc.members, divs))]
 
 
 # --------------------------------------------------------------------------
@@ -346,7 +342,7 @@ def cross_validate_lambda(dataset: ZslDataset, config: TrainConfig,
         workers = 0
     if workers < 1:
         raise InvalidConfigError(f"CIZSL_THREADS must be an integer >= 1, got {raw!r}")
-    train_ds, _ = split_train_val(dataset, split_ratio, seed=config.seed)
+    train_ds = split_train_val(dataset, split_ratio, seed=config.seed)
     if train_ds.unseen_class_ids.size < 2:
         raise InvalidSplitError(
             f"cross-validation needs >= 2 validation classes, got "

@@ -386,6 +386,17 @@ class TestRetrieveCommand:
         assert code == 1
         assert "eval.retrieval_ratios" in err
 
+    def test_mistyped_manifest_field_exits_1(self, tmp_path, capsys):
+        cfg, ckpt = self.make_exact_setup(tmp_path)
+        manifest = json.loads((tmp_path / "toy.json").read_text())
+        manifest["classes"][2]["seen"] = "no"
+        (tmp_path / "toy.json").write_text(json.dumps(manifest))
+        code, out, err = run_cli(capsys, "eval", "--config", str(cfg),
+                                 "--checkpoint", str(ckpt))
+        assert code == 1
+        assert out == ""
+        assert err == "error: class entry 2 field 'seen' must be a boolean, got 'no'\n"
+
     def test_empty_unseen_set_exits_1(self, tmp_path, capsys):
         cfg, ckpt = self.make_exact_setup(tmp_path)
         # rewrite the dataset with every class seen

@@ -113,6 +113,24 @@ class TestManifestRoundTrip:
         with pytest.raises(DatasetFormatError, match="duplicate class id"):
             load_dataset(tmp_path / "ds.json")
 
+    @pytest.mark.parametrize("entry,key,value", [
+        (1, "seen", "no"), (1, "seen", 1), (1, "id", 1.7), (1, "id", "x"),
+        (1, "id", None), (1, "id", True), (1, "id", 2**63), (1, "super", 2.0),
+        (1, "descriptor_row", "a"), (1, "name", 5), (1, "descriptor_blob", 3),
+        (None, "classes", 5), (None, "classes", {}), (None, "features_blob", 3),
+        (None, "labels_blob", None), (None, "classes", [3])])
+    def test_mistyped_field_rejected_naming_it(self, tmp_path, entry, key, value):
+        # JSON types are not coerced: "no" is no false, 1.7 no class 1
+        save_dataset(make_synthetic(small_config()), tmp_path / "ds.json")
+        manifest = json.loads((tmp_path / "ds.json").read_text())
+        (manifest if entry is None else manifest["classes"][entry])[key] = value
+        (tmp_path / "ds.json").write_text(json.dumps(manifest))
+        expected = (f"class entry {entry} field '{key}' must be" if entry is not None
+                    else "class entry 0 must be an object" if value == [3]
+                    else f"manifest field '{key}' must be")
+        with pytest.raises(DatasetFormatError, match=expected):
+            load_dataset(tmp_path / "ds.json")
+
     @staticmethod
     def first_class_renamed(cid):
         ds = make_synthetic(small_config())
@@ -249,30 +267,37 @@ class TestSplitTrainVal:
         ds = make_synthetic(small_config(n_super=5, classes_per_super=2))
         # 10 seen-ish? hard split holds one super out: 8 seen classes
         seen = ds.seen_class_ids.size
-        train, val = split_train_val(ds, 0.8, seed=1)
+        train = split_train_val(ds, 0.8, seed=1)
         assert train.seen_class_ids.size == round(0.8 * seen)
-        assert val.class_ids.size == seen - round(0.8 * seen)
+        assert train.unseen_class_ids.size == seen - round(0.8 * seen)
 
     def test_partition_of_seen_set(self):
         ds = make_synthetic(small_config())
-        train, val = split_train_val(ds, 0.8, seed=2)
+        train = split_train_val(ds, 0.8, seed=2)
         train_ids = set(int(c) for c in train.seen_class_ids)
-        val_ids = set(int(c) for c in val.class_ids)
+        val_ids = set(int(c) for c in train.unseen_class_ids)
         assert train_ids.isdisjoint(val_ids)
         assert train_ids | val_ids == set(int(c) for c in ds.seen_class_ids)
 
     def test_val_classes_become_pseudo_unseen_with_instances(self):
         ds = make_synthetic(small_config())
-        train, val = split_train_val(ds, 0.8, seed=2)
-        assert set(int(c) for c in train.unseen_class_ids) == \
-            set(int(c) for c in val.class_ids)
+        train = split_train_val(ds, 0.8, seed=2)
+        # the pseudo-unseen classes are exactly the held-out seen classes,
+        # each with all of its rows; the dataset's unseen classes are gone
+        held_out = set(int(c) for c in ds.seen_class_ids) \
+            - set(int(c) for c in train.seen_class_ids)
+        assert set(int(c) for c in train.unseen_class_ids) == held_out
+        assert set(int(c) for c in train.class_ids).isdisjoint(
+            int(c) for c in ds.unseen_class_ids)
         for c in train.unseen_class_ids:
             assert np.any(train.labels == c)
+            assert np.array_equal(train.features[train.labels == c],
+                                  ds.features[ds.labels == c])
 
     def test_deterministic(self):
         ds = make_synthetic(small_config())
-        a, _ = split_train_val(ds, 0.8, seed=9)
-        b, _ = split_train_val(ds, 0.8, seed=9)
+        a = split_train_val(ds, 0.8, seed=9)
+        b = split_train_val(ds, 0.8, seed=9)
         assert datasets_equal(a, b)
 
     def test_zero_val_classes_rejected(self):

@@ -91,13 +91,15 @@ class TestCreativityLoss:
         # critic score of the hallucinated generations alone
         gen, disc = tiny_models()
         rng = RngStream(1, 0)
-        t_h, z_h = rng.normal((6, 4)), rng.normal((6, 3))
-        t_s, y_s, z_s = rng.normal((6, 4)), rng.integers(0, 3, 6), rng.normal((6, 3))
-        res = generator_loss(gen, disc, t_s, y_s, z_s, t_h, z_h, 0.0, SM,
+        t_h, z_h = rng.normal((1, 6, 4)), rng.normal((1, 6, 3))
+        t_s, y_s = rng.normal((1, 6, 4)), rng.integers(0, 3, (1, 6))
+        z_s = rng.normal((1, 6, 3))
+        res = generator_loss(gen, disc, t_s, y_s, z_s, t_h, z_h, [0.0], [SM],
                              rng.normal((3, 5)))
-        real, _ = disc.forward(gen.forward(t_h, z_h))
-        assert res.parts["creativity"] == pytest.approx(-float(np.mean(real)), abs=1e-12)
-        assert res.parts["mean_entropy"] == 0.0
+        real, _ = disc.forward(gen.forward(t_h[0], z_h[0]))
+        assert res.parts["creativity"][0] == pytest.approx(-float(np.mean(real)),
+                                                           abs=1e-12)
+        assert res.parts["mean_entropy"][0] == 0.0
 
     def test_lambda_zero_gives_zero_value_and_gradient(self):
         logits = RngStream(1, 1).normal((6, 3))
@@ -133,26 +135,26 @@ class TestCreativityLoss:
 class TestVisualPivot:
     def test_zero_when_generations_equal_centers(self):
         centers = np.array([[1.0, 2.0], [-3.0, 0.5]])
-        labels = np.array([0, 0, 1, 0, 1])
+        labels = np.array([[0, 0, 1, 0, 1]])
         value, d_x = visual_pivot(centers[labels], labels, centers)
-        assert value == pytest.approx(0.0, abs=1e-15)
+        assert value[0] == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_allclose(d_x, 0.0, atol=1e-12)
 
     def test_one_class_squared_distance(self):
         # five rows of 2.0 in one dimension, center at 5.0
-        value, d_x = visual_pivot(np.full((5, 1), 2.0), np.zeros(5, dtype=int),
+        value, d_x = visual_pivot(np.full((1, 5, 1), 2.0), np.zeros((1, 5), dtype=int),
                                   np.array([[5.0]]))
-        assert value == pytest.approx(9.0)
-        np.testing.assert_allclose(d_x, np.full((5, 1), 2.0 * -3.0 / 5))
+        assert value[0] == pytest.approx(9.0)
+        np.testing.assert_allclose(d_x, np.full((1, 5, 1), 2.0 * -3.0 / 5))
 
     def test_gradient_matches_finite_differences(self):
         rng = RngStream(6, 1)
-        x = rng.normal((9, 5))
-        labels = np.array([0, 2, 2, 0, 1, 0, 2, 2, 0])
+        x = rng.normal((1, 9, 5))
+        labels = np.array([[0, 2, 2, 0, 1, 0, 2, 2, 0]])
         centers = rng.normal((3, 5))
         _, d_x = visual_pivot(x, labels, centers)
         fd = finite_diff_gradient(
-            lambda xf: visual_pivot(xf.reshape(x.shape), labels, centers)[0],
+            lambda xf: visual_pivot(xf.reshape(x.shape), labels, centers)[0][0],
             x.ravel().copy(), 1e-5)
         assert relative_error(d_x.ravel(), fd) < 1e-4
 
@@ -170,74 +172,76 @@ class TestVisualPivot:
             diff = x[sel].mean(axis=0) - centers[c]
             ref_value += float(diff @ diff)
             ref_d_x[sel] = (2.0 / (present.size * sel.sum())) * diff
-        value, d_x = visual_pivot(x, labels, centers)
+        value, d_x = visual_pivot(x[None], labels[None], centers)
         # the value sums the classes in another order; the gradient does not
-        assert value == pytest.approx(ref_value / present.size, rel=1e-14)
-        np.testing.assert_array_equal(d_x, ref_d_x)
+        assert value[0] == pytest.approx(ref_value / present.size, rel=1e-14)
+        np.testing.assert_array_equal(d_x[0], ref_d_x)
 
     def test_only_present_classes_count(self):
         # class 1 has no rows: it neither adds a term nor divides the mean
         centers = np.array([[0.0], [100.0], [1.0]])
-        value, _ = visual_pivot(np.array([[2.0], [3.0]]), np.array([0, 2]), centers)
-        assert value == pytest.approx((4.0 + 4.0) / 2)
+        value, _ = visual_pivot(np.array([[[2.0], [3.0]]]), np.array([[0, 2]]), centers)
+        assert value[0] == pytest.approx((4.0 + 4.0) / 2)
 
 
 class TestGeneratorLoss:
     def batch(self, seed=3, m=6, k=3):
+        """Rows and labels of one model, with its model axis of 1."""
         rng = RngStream(seed, 2)
-        return (rng.normal((m, 4)), rng.integers(0, k, m), rng.normal((m, 3)),
-                rng.normal((m, 4)), rng.normal((m, 3)), rng.normal((k, 5)))
+        return (rng.normal((1, m, 4)), rng.integers(0, k, (1, m)), rng.normal((1, m, 3)),
+                rng.normal((1, m, 4)), rng.normal((1, m, 3)), rng.normal((k, 5)))
 
     def test_no_creativity_reduces_to_baseline_objective(self):
         # dropping both creativity terms leaves realness + classification +
         # pivot, the plain feature-generation backbone objective
         gen, disc = tiny_models()
         t_s, y_s, z_s, t_h, z_h, centers = self.batch()
-        res = generator_loss(gen, disc, t_s, y_s, z_s, t_h, z_h, 2.0, SM,
+        res = generator_loss(gen, disc, t_s, y_s, z_s, t_h, z_h, [2.0], [SM],
                              centers, creativity_enabled=False)
-        x = gen.forward(t_s, z_s)
+        x = gen.forward(t_s[0], z_s[0])
+        y = y_s[0]
         real, logits = disc.forward(x)
         from cizsl.numerics import log_softmax
         lsm = log_softmax(logits)
         manual = -float(np.mean(real)) \
-            - float(np.mean(lsm[np.arange(6), y_s]))
-        present = np.unique(y_s)
+            - float(np.mean(lsm[np.arange(6), y]))
+        present = np.unique(y)
         pivot = 0.0
         for kcls in present:
-            mu = x[y_s == kcls].mean(axis=0)
+            mu = x[y == kcls].mean(axis=0)
             pivot += float(np.sum((mu - centers[kcls]) ** 2))
         manual += pivot / present.size
-        assert res.value == pytest.approx(manual, abs=1e-12)
-        assert res.parts["creativity"] == 0.0
+        assert res.value[0] == pytest.approx(manual, abs=1e-12)
+        assert res.parts["creativity"][0] == 0.0
 
     def test_perfect_classifier_contributes_zero_classification_term(self):
         # rig the class head to constant logits (+1e3 on class 0, -1e3
         # elsewhere) and label every row 0: log softmax of the label is 0
         gen, disc = tiny_models()
         t_s, _, z_s, t_h, z_h, centers = self.batch()
-        y_s = np.zeros(t_s.shape[0], dtype=int)
+        y_s = np.zeros(t_s.shape[:2], dtype=int)
         head = disc.net.layers[-1]
         head.weight[1:] = 0.0
         head.bias[1:] = -1e3
         head.bias[1] = 1e3
-        res = generator_loss(gen, disc, t_s, y_s, z_s, t_h, z_h, 0.0, SM,
+        res = generator_loss(gen, disc, t_s, y_s, z_s, t_h, z_h, [0.0], [SM],
                              centers, creativity_enabled=False)
-        assert res.parts["seen_classification"] == pytest.approx(0.0, abs=1e-12)
+        assert res.parts["seen_classification"][0] == pytest.approx(0.0, abs=1e-12)
 
     def test_equals_separate_seen_and_hallucinated_passes(self):
         # the stacked pass computes what a seen-only pass plus a separate
         # pass over the hallucinated rows computes
         gen, disc = tiny_models()
         t_s, y_s, z_s, t_h, z_h, centers = self.batch()
-        res = generator_loss(gen, disc, t_s, y_s, z_s, t_h, z_h, 2.0, SM, centers)
-        seen = generator_loss(gen, disc, t_s, y_s, z_s, t_h, z_h, 2.0, SM, centers,
+        res = generator_loss(gen, disc, t_s, y_s, z_s, t_h, z_h, [2.0], [SM], centers)
+        seen = generator_loss(gen, disc, t_s, y_s, z_s, t_h, z_h, [2.0], [SM], centers,
                               creativity_enabled=False)
-        real_h, logits_h = disc.forward(gen.forward(t_h, z_h))
+        real_h, logits_h = disc.forward(gen.forward(t_h[0], z_h[0]))
         term, _, grad_div, mean_entropy = creativity_loss(logits_h, 2.0, SM)
-        assert res.value == pytest.approx(
-            seen.value - float(np.mean(real_h)) + term, abs=1e-12)
-        assert res.parts["mean_entropy"] == pytest.approx(mean_entropy, abs=1e-12)
-        np.testing.assert_allclose(res.grad_divergence, grad_div, atol=1e-12)
+        assert res.value[0] == pytest.approx(
+            seen.value[0] - float(np.mean(real_h)) + term, abs=1e-12)
+        assert res.parts["mean_entropy"][0] == pytest.approx(mean_entropy, abs=1e-12)
+        np.testing.assert_allclose(res.grad_divergence[0], grad_div, atol=1e-12)
 
     def test_one_network_pass_per_call(self, monkeypatch):
         gen, disc = tiny_models()
@@ -258,7 +262,7 @@ class TestGeneratorLoss:
                 count(cls, name)
         for enabled in (True, False):
             calls.clear()
-            generator_loss(gen, disc, t_s, y_s, z_s, t_h, z_h, 1.0, SM, centers,
+            generator_loss(gen, disc, t_s, y_s, z_s, t_h, z_h, [1.0], [SM], centers,
                            creativity_enabled=enabled)
             assert sorted(calls) == ["Discriminator.backward",
                                      "Discriminator.forward_cached",
@@ -271,9 +275,9 @@ class TestGeneratorLoss:
         gen, disc = tiny_models()
         t_s, y_s, z_s, t_h, z_h, centers = self.batch()
         bad = y_s.copy()
-        bad[0] = 3
+        bad[0, 0] = 3
         with pytest.raises(InvalidInputError):
-            generator_loss(gen, disc, t_s, bad, z_s, t_h, z_h, 1.0, SM, centers)
+            generator_loss(gen, disc, t_s, bad, z_s, t_h, z_h, [1.0], [SM], centers)
 
     def test_full_gradient_matches_finite_differences(self):
         from cizsl.gradcheck import run_gradient_contract
@@ -284,7 +288,8 @@ class TestGeneratorLoss:
 
 
 class TestModelAxis:
-    """A stack of B models computes, per model, the bits of the single model."""
+    """A stack of B models computes, per model, the bits of each model alone
+    at B = 1."""
 
     @pytest.mark.parametrize("extra", [False, True])
     def test_stacked_losses_are_bit_equal_per_model(self, extra):
@@ -311,18 +316,20 @@ class TestModelAxis:
         res_d = discriminator_loss(disc, x_real, y_real, x_fake, y_s, 10.0, eps,
                                    extra_class=extra, x_h=x_h)
         for b in range(2):
-            one_g = generator_loss(gens[b], discs[b], t_s[b], y_s[b], z_s[b], t_h[b],
-                                   z_h[b], lams[b], divs[b], centers, extra_class=extra)
-            one_d = discriminator_loss(discs[b], x_real[b], y_real[b], x_fake[b],
-                                       y_s[b], 10.0, eps[b], extra_class=extra,
-                                       x_h=x_h[b])
+            one = slice(b, b + 1)  # model b alone, with its model axis of 1
+            one_g = generator_loss(gens[b], discs[b], t_s[one], y_s[one], z_s[one],
+                                   t_h[one], z_h[one], lams[one], divs[one], centers,
+                                   extra_class=extra)
+            one_d = discriminator_loss(discs[b], x_real[one], y_real[one], x_fake[one],
+                                       y_s[one], 10.0, eps[one], extra_class=extra,
+                                       x_h=x_h[one])
             np.testing.assert_array_equal(res_g.grad_gen[b], one_g.grad_gen)
             np.testing.assert_array_equal(res_d.grad_disc[b], one_d.grad_disc)
-            assert res_g.value[b] == one_g.value and res_d.value[b] == one_d.value
-            assert tuple(res_g.grad_divergence[b]) == one_g.grad_divergence
-            for stacked, one in ((res_g, one_g), (res_d, one_d)):
-                assert stacked.parts.keys() == one.parts.keys()
-                assert all(stacked.parts[k][b] == v for k, v in one.parts.items())
+            assert res_g.value[b] == one_g.value[0] and res_d.value[b] == one_d.value[0]
+            np.testing.assert_array_equal(res_g.grad_divergence[b], one_g.grad_divergence[0])
+            for stacked, alone in ((res_g, one_g), (res_d, one_d)):
+                assert stacked.parts.keys() == alone.parts.keys()
+                assert all(stacked.parts[k][b] == v[0] for k, v in alone.parts.items())
 
 
 class TestDiscriminatorLoss:
@@ -340,15 +347,15 @@ class TestDiscriminatorLoss:
                                     np.zeros(3), "identity")]),
             noise_dim=2)
         m = 5
-        x_real = np.tile(const, (m, 1))
-        y = np.zeros(m, dtype=int)
-        t_s = np.zeros((m, 2))
-        z = np.zeros((m, 2))
-        eps = np.full(m, 0.3)
+        x_real = np.tile(const, (1, m, 1))
+        y = np.zeros((1, m), dtype=int)
+        t_s = np.zeros((1, m, 2))
+        z = np.zeros((1, m, 2))
+        eps = np.full((1, m), 0.3)
         res = discriminator_loss(disc, x_real, y, gen.forward(t_s, z), y,
                                  gp_weight=10.0, gp_eps=eps)
-        assert res.value == pytest.approx(math.log(k), abs=1e-12)
-        assert res.parts["penalty"] == pytest.approx(0.0, abs=1e-15)
+        assert res.value[0] == pytest.approx(math.log(k), abs=1e-12)
+        assert res.parts["penalty"][0] == pytest.approx(0.0, abs=1e-15)
 
     def test_identical_real_and_fake_gap_is_zero(self):
         k = 3
@@ -361,20 +368,20 @@ class TestDiscriminatorLoss:
                                     np.zeros(4), "identity")]),
             noise_dim=2)
         m = 6
-        x_real = np.tile(const, (m, 1))
-        y = rng.integers(0, k, m)
-        x_fake = gen.forward(np.zeros((m, 2)), np.zeros((m, 2)))
+        x_real = np.tile(const, (1, m, 1))
+        y = rng.integers(0, k, (1, m))
+        x_fake = gen.forward(np.zeros((1, m, 2)), np.zeros((1, m, 2)))
         res = discriminator_loss(disc, x_real, y, x_fake, y, gp_weight=0.0,
-                                 gp_eps=np.full(m, 0.5))
-        assert res.parts["wasserstein_gap"] == pytest.approx(0.0, abs=1e-12)
+                                 gp_eps=np.full((1, m), 0.5))
+        assert res.parts["wasserstein_gap"][0] == pytest.approx(0.0, abs=1e-12)
 
     def test_misaligned_batches_rejected(self):
         _, disc = tiny_models()
         rng = RngStream(10, 0)
         with pytest.raises(InvalidInputError):
-            discriminator_loss(disc, rng.normal((4, 5)), np.zeros(4, dtype=int),
-                               rng.normal((3, 5)), np.zeros(3, dtype=int),
-                               10.0, np.full(4, 0.5))
+            discriminator_loss(disc, rng.normal((1, 4, 5)), np.zeros((1, 4), dtype=int),
+                               rng.normal((1, 3, 5)), np.zeros((1, 3), dtype=int),
+                               10.0, np.full((1, 4), 0.5))
 
     @pytest.mark.parametrize("extra", [False, True])
     def test_penalty_equals_fresh_forward_over_interpolates(self, extra):
@@ -382,18 +389,18 @@ class TestDiscriminatorLoss:
         gen, disc = tiny_models(k_cls=4)
         rng = RngStream(12, 0)
         m = 6
-        x_real, x_fake = rng.normal((m, 5)), rng.normal((m, 5))
-        y = rng.integers(0, 3, m)
-        eps = rng.uniform(0.0, 1.0, m)
-        x_h = gen.forward(rng.normal((m, 4)), rng.normal((m, 3))) if extra else None
+        x_real, x_fake = rng.normal((1, m, 5)), rng.normal((1, m, 5))
+        y = rng.integers(0, 3, (1, m))
+        eps = rng.uniform(0.0, 1.0, (1, m))
+        x_h = gen.forward(rng.normal((1, m, 4)), rng.normal((1, m, 3))) if extra else None
 
         def loss(w):
             return discriminator_loss(disc, x_real, y, x_fake, y, w, eps,
                                       extra_class=extra, x_h=x_h)
 
-        x_hat = eps[:, None] * x_real + (1.0 - eps[:, None]) * x_fake
+        x_hat = eps[..., None] * x_real + (1.0 - eps[..., None]) * x_fake
         value, grad, _ = gradient_penalty(disc, disc.net.forward_cached(x_hat)[1])
-        assert abs(loss(3.0).parts["penalty"] - value) <= 1e-12
+        assert abs(loss(3.0).parts["penalty"][0] - value[0]) <= 1e-12
         np.testing.assert_allclose(loss(3.0).grad_disc - loss(0.0).grad_disc,
                                    3.0 * grad, rtol=0, atol=1e-12)
 
@@ -414,19 +421,19 @@ class TestExtraClassAblation:
         disc = build_discriminator(DiscriminatorArch(input_dim=5, n_classes=4,
                                                      hidden_dims=(6,)), rng)
         m = 5
-        t_h, z_h = rng.normal((m, 4)), rng.normal((m, 3))
-        t_s, z_s = rng.normal((m, 4)), rng.normal((m, 3))
-        y = rng.integers(0, 3, m)
-        x = rng.normal((m, 5))
+        t_h, z_h = rng.normal((1, m, 4)), rng.normal((1, m, 3))
+        t_s, z_s = rng.normal((1, m, 4)), rng.normal((1, m, 3))
+        y = rng.integers(0, 3, (1, m))
+        x = rng.normal((1, m, 5))
         x_h = gen.forward(t_h, z_h)
         res = discriminator_loss(disc, x, y, gen.forward(t_s, z_s), y, 10.0,
-                                 np.full(m, 0.5), extra_class=True, x_h=x_h)
+                                 np.full((1, m), 0.5), extra_class=True, x_h=x_h)
         assert "cls_extra" in res.parts
-        _, logits_h = disc.forward(x_h)
+        _, logits_h = disc.forward(x_h[0])
         value, d_logits, grad_div, _ = creativity_loss(logits_h, 1.0, SM, extra_class=True)
         assert np.isfinite(value) and value > 0.0
         # the critic's halved cross-entropy toward the extra class on x_h
-        assert res.parts["cls_extra"] == pytest.approx(0.5 * value, abs=1e-12)
+        assert res.parts["cls_extra"][0] == pytest.approx(0.5 * value, abs=1e-12)
         assert grad_div == (0.0, 0.0)
         # cross-entropy toward the last column: its adjoint is the only negative one
         assert np.all(d_logits[:, -1] < 0.0) and np.all(d_logits[:, :-1] > 0.0)

@@ -17,7 +17,8 @@ def leaky(z, slope=0.2):
 
 
 def penalty_of_rows(disc, x_hat):
-    """`gradient_penalty` of a fresh critic forward over `x_hat` alone."""
+    """`gradient_penalty` of a fresh critic forward over the rows `x_hat` of
+    one model, given with its model axis of 1."""
     return gradient_penalty(disc, disc.net.forward_cached(x_hat)[1])
 
 
@@ -236,23 +237,24 @@ class TestGradientPenalty:
 
     def test_unit_norm_critic_has_zero_penalty_and_gradient(self):
         disc = self.d_linear([0.6, 0.8])
-        penalty, grad, _ = penalty_of_rows(disc, np.array([3.0, -1.0])[None])
-        assert penalty == pytest.approx(0.0, abs=1e-15)
+        penalty, grad, _ = penalty_of_rows(disc, np.array([[[3.0, -1.0]]]))
+        assert penalty.shape == (1,)
+        assert penalty[0] == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_allclose(grad, np.zeros(disc.n_params), atol=1e-12)
 
     def test_symbolic_gradient_for_linear_critic(self):
         # ||grad|| = 5, penalty (5-1)^2 = 16, d/dw = 2*4*w/5
         disc = self.d_linear([3.0, 4.0])
-        penalty, grad, _ = penalty_of_rows(disc, np.array([0.0, 0.0])[None])
-        assert penalty == pytest.approx(16.0)
+        penalty, grad, _ = penalty_of_rows(disc, np.array([[[0.0, 0.0]]]))
+        assert penalty[0] == pytest.approx(16.0)
         np.testing.assert_allclose(grad[:2], [4.8, 6.4], atol=1e-12)
         # bias and class-head rows receive nothing
         np.testing.assert_allclose(grad[2:], np.zeros(disc.n_params - 2), atol=1e-12)
 
     def test_zero_gradient_input_documented_subgradient(self):
         disc = self.d_linear([0.0, 0.0])
-        penalty, grad, _ = penalty_of_rows(disc, np.array([1.0, 1.0])[None])
-        assert penalty == pytest.approx(1.0)
+        penalty, grad, _ = penalty_of_rows(disc, np.array([[[1.0, 1.0]]]))
+        assert penalty[0] == pytest.approx(1.0)
         np.testing.assert_array_equal(grad, np.zeros(disc.n_params))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -260,14 +262,14 @@ class TestGradientPenalty:
         rng = RngStream(200 + seed, 0)
         disc = build_discriminator(DiscriminatorArch(input_dim=4, n_classes=3,
                                                      hidden_dims=(6,)), rng)
-        x_hat = rng.normal((3, 4))
+        x_hat = rng.normal((1, 3, 4))
         _, analytic, _ = penalty_of_rows(disc, x_hat)
         theta0 = disc.param_vector()
 
         def f(theta):
             disc.set_param_vector(theta)
             val, _, _ = penalty_of_rows(disc, x_hat)
-            return val
+            return val[0]
 
         fd = finite_diff_gradient(f, theta0.copy(), 1e-5)
         disc.set_param_vector(theta0)
@@ -283,13 +285,14 @@ class TestGradientPenalty:
                                                      hidden_dims=(9,)), rng)
         disc.set_param_vector(0.5 * rng.normal(disc.n_params))
         m = 7
-        fake, real, x_h = rng.normal((m, 6)), rng.normal((m, 6)), rng.normal((m, 6))
-        eps = rng.uniform(0.0, 1.0, (m, 1))
+        fake, real = rng.normal((1, m, 6)), rng.normal((1, m, 6))
+        x_h = rng.normal((1, m, 6))
+        eps = rng.uniform(0.0, 1.0, (1, m, 1))
         x_hat = eps * real + (1.0 - eps) * fake
-        _, cache = disc.forward_cached(np.concatenate([fake, real, x_h, x_hat]))
+        _, cache = disc.forward_cached(np.concatenate([fake, real, x_h, x_hat], axis=1))
         value, grad, rows = gradient_penalty(disc, cache.rows(slice(3 * m, None)))
         value_1, grad_1, rows_1 = penalty_of_rows(disc, x_hat)
-        assert abs(value - value_1) <= 1e-12
+        assert abs(value[0] - value_1[0]) <= 1e-12
         np.testing.assert_allclose(grad, grad_1, rtol=0, atol=1e-12)
         np.testing.assert_allclose(rows, rows_1, rtol=0, atol=1e-12)
         # piecewise-linear layers: the input gradient has no bias dependence
@@ -340,11 +343,12 @@ class TestStack:
             (real_b, logits_b), dc = discs[b].forward_cached(x_b)
             gd_b, dx_b = discs[b].backward(dc, d_real[b], d_logits[b])
             gg_b, dt_b, dz_b = gens[b].backward(gc, dx_b)
+            # the penalty answers per model: B = 1 for a model alone
             pen_b, gp_b, rows_b = gradient_penalty(discs[b], dc)
             for stacked, single in ((x[b], x_b), (real[b], real_b), (logits[b], logits_b),
                                     (grad_d[b], gd_b), (d_x[b], dx_b), (grad_g[b], gg_b),
-                                    (d_t[b], dt_b), (d_z[b], dz_b), (pen[b], pen_b),
-                                    (grad_pen[b], gp_b), (rows[b], rows_b)):
+                                    (d_t[b], dt_b), (d_z[b], dz_b), (pen[b], pen_b[0]),
+                                    (grad_pen[b], gp_b), (rows[b], rows_b[0])):
                 np.testing.assert_array_equal(stacked, single)
 
     def test_stack_update_invalidates_member_caches(self):

@@ -353,7 +353,7 @@ class TestCrossValidation:
 
     def test_validation_auc_in_unit_interval(self):
         from cizsl.data import split_train_val
-        ts, _ = split_train_val(self.dataset(), 0.8, seed=1)
+        ts = split_train_val(self.dataset(), 0.8, seed=1)
         model = train(ts, tiny_config(n_steps=10))
         auc = validation_auc(model.generator, ts, samples_per_center=5)
         assert 0.0 <= auc <= 1.0
