@@ -5,6 +5,11 @@ On-disk layout: a JSON manifest naming binary blobs. Every blob starts with
 magic "CZFD", a little-endian u16 version, u32 rows and u32 cols; the payload
 is little-endian float64 for feature/descriptor blobs and u32 for the label
 blob (one class id per feature row). Round trips are bit-exact.
+
+Each dataset-sized array exists once on the way from `make_synthetic`
+through `save_dataset` and `load_dataset`: synthesis draws its noise into
+the output, blobs are written from the array's own buffer and read straight
+into a new one, and no check allocates an array of the features' shape.
 """
 from __future__ import annotations
 
@@ -23,6 +28,9 @@ from .numerics import RngStream
 BLOB_MAGIC = b"CZFD"
 BLOB_VERSION = 1
 LABEL_MAX = 2**32 - 1
+# bytes of the random feature map `make_synthetic` draws and applies per row
+# block; every test and benchmark shape draws its map as one block
+SYNTH_BLOCK_BYTES = 8 << 20
 
 # each class entry's fields and their JSON types: a bool is no integer and a
 # float with a zero fraction no id
@@ -66,9 +74,9 @@ class ZslDataset:
         for lbl in np.unique(self.labels):
             if int(lbl) not in known:
                 raise DatasetFormatError(f"dangling label {int(lbl)} has no class entry")
-        if not np.all(np.isfinite(self.features)):
+        if not _all_finite(self.features):
             raise DatasetFormatError("features contain non-finite values")
-        if not np.all(np.isfinite(self.descriptors)):
+        if not _all_finite(self.descriptors):
             raise DatasetFormatError("descriptors contain non-finite values")
         return self
 
@@ -108,14 +116,15 @@ class ZslDataset:
         wanted = set(int(c) for c in class_ids)
         cls_sel = np.array([int(c) in wanted for c in self.class_ids])
         row_sel = np.isin(self.labels, list(wanted))
+        # boolean indexing copies: each field is copied once
         return ZslDataset(
-            features=self.features[row_sel].copy(),
-            labels=self.labels[row_sel].copy(),
-            class_ids=self.class_ids[cls_sel].copy(),
+            features=self.features[row_sel],
+            labels=self.labels[row_sel],
+            class_ids=self.class_ids[cls_sel],
             class_names=[n for n, keep in zip(self.class_names, cls_sel) if keep],
-            descriptors=self.descriptors[cls_sel].copy(),
-            super_ids=self.super_ids[cls_sel].copy(),
-            seen_mask=self.seen_mask[cls_sel].copy(),
+            descriptors=self.descriptors[cls_sel],
+            super_ids=self.super_ids[cls_sel],
+            seen_mask=self.seen_mask[cls_sel],
         ).validate()
 
     def with_seen_flags(self, seen_ids) -> "ZslDataset":
@@ -125,16 +134,45 @@ class ZslDataset:
         return replace(self, seen_mask=mask).validate()
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """No NaN or infinity in `a`: min and max propagate NaN and reach any
+    infinity, and allocate nothing of `a`'s size."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 # --------------------------------------------------------------------------
 # Blob + manifest I/O
 # --------------------------------------------------------------------------
 
+def _blob_parts(array: np.ndarray, dtype: str) -> list:
+    """Header bytes and payload of `array` as a blob. An array already
+    C-contiguous in `dtype` is its own payload: no copy is made."""
+    a = np.ascontiguousarray(np.atleast_2d(array), dtype=dtype)
+    return [BLOB_MAGIC + struct.pack("<HII", BLOB_VERSION, a.shape[0], a.shape[1]), a]
+
+
+def _write_files(files) -> None:
+    """Write each `(path, parts)` file, the buffers `parts` in turn, as
+    `<name>.tmp`, then move them into place in the given order with
+    `os.replace`. If any write fails, every temp file is removed and no
+    final name has changed."""
+    temps = []
+    try:
+        for path, parts in files:
+            temps.append(path.with_name(path.name + ".tmp"))
+            with open(temps[-1], "wb") as f:
+                for part in parts:
+                    f.write(part)
+        for temp, (path, _) in zip(temps, files):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+
+
 def write_blob(path, array: np.ndarray, dtype: str) -> None:
-    a = np.ascontiguousarray(np.atleast_2d(array).astype(dtype))
-    with open(path, "wb") as f:
-        f.write(BLOB_MAGIC)
-        f.write(struct.pack("<HII", BLOB_VERSION, a.shape[0], a.shape[1]))
-        f.write(a.tobytes())
+    _write_files([(Path(path), _blob_parts(array, dtype))])
 
 
 def read_blob(path, dtype: str) -> np.ndarray:
@@ -173,15 +211,12 @@ def save_dataset(dataset: ZslDataset, manifest_path) -> None:
         raise InvalidInputError(f"class id {int(wide[0])} does not fit the u32 label "
                                 f"blob: ids with rows must lie in [0, {LABEL_MAX}]")
     manifest_path = Path(manifest_path)
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
+    base = manifest_path.parent
+    base.mkdir(parents=True, exist_ok=True)
     stem = manifest_path.stem
     desc_name = f"{stem}_descriptors.czfd"
     feat_name = f"{stem}_features.czfd"
     lab_name = f"{stem}_labels.czfd"
-    write_blob(manifest_path.parent / desc_name, dataset.descriptors, "<f8")
-    write_blob(manifest_path.parent / feat_name, dataset.features, "<f8")
-    write_blob(manifest_path.parent / lab_name,
-               dataset.labels.reshape(-1, 1), "<u4")
     classes = [{"id": int(cid), "name": name, "super": int(sup),
                 "seen": bool(seen), "descriptor_blob": desc_name,
                 "descriptor_row": i}
@@ -190,9 +225,15 @@ def save_dataset(dataset: ZslDataset, manifest_path) -> None:
                                 dataset.super_ids, dataset.seen_mask))]
     manifest = {"classes": classes, "features_blob": feat_name,
                 "labels_blob": lab_name}
-    with open(manifest_path, "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-        f.write("\n")
+    text = json.dumps(manifest, indent=1, sort_keys=True) + "\n"
+    # the manifest is moved into place last, so a failed save leaves every
+    # name as it was and an older dataset under this name still loads
+    _write_files([
+        (base / desc_name, _blob_parts(dataset.descriptors, "<f8")),
+        (base / feat_name, _blob_parts(dataset.features, "<f8")),
+        (base / lab_name, _blob_parts(dataset.labels.reshape(-1, 1), "<u4")),
+        (manifest_path, [text.encode()]),
+    ])
 
 
 def _json_field(obj: dict, key: str, kind: type, where: str):
@@ -237,7 +278,12 @@ def load_dataset(manifest_path) -> ZslDataset:
         blob, row = entry["descriptor_blob"], entry["descriptor_row"]
         if blob not in desc_cache:
             desc_cache[blob] = read_blob(base / blob, "<f8")
-        table = desc_cache[blob]
+        table, first = desc_cache[blob], entries[0]["descriptor_blob"]
+        if table.shape[1] != desc_cache[first].shape[1]:
+            raise DatasetFormatError(
+                f"descriptor blob {blob} has {table.shape[1]} columns but "
+                f"{first} has {desc_cache[first].shape[1]}: every class "
+                f"entry needs a descriptor of one width")
         if not 0 <= row < table.shape[0]:
             raise DatasetFormatError(
                 f"descriptor_row {row} out of range for blob {blob}")
@@ -301,18 +347,23 @@ def make_synthetic(config: SyntheticConfig) -> ZslDataset:
     n_classes = config.n_super * config.classes_per_super
 
     prototypes = rng.normal((config.n_super, config.text_dim))
-    descriptors = np.repeat(prototypes, config.classes_per_super, axis=0) \
-        + config.descriptor_noise * rng.normal((n_classes, config.text_dim))
+    descriptors = _around(prototypes, config.classes_per_super,
+                          config.descriptor_noise, rng)
     supers = np.repeat(np.arange(config.n_super), config.classes_per_super)
 
-    mapping = rng.normal((config.feature_dim, config.text_dim)) / np.sqrt(config.text_dim)
-    clean = descriptors @ mapping.T
+    # clean = descriptors @ mapping.T for a (feature_dim, text_dim) map drawn
+    # in row blocks of at most SYNTH_BLOCK_BYTES, so the map never exists whole
+    clean = np.empty((n_classes, config.feature_dim))
+    step = max(1, SYNTH_BLOCK_BYTES // (8 * config.text_dim))
+    for lo in range(0, config.feature_dim, step):
+        block = rng.normal((min(step, config.feature_dim - lo), config.text_dim))
+        block /= np.sqrt(config.text_dim)
+        clean[:, lo:lo + step] = descriptors @ block.T
     if config.nonlinear:
-        clean = np.maximum(clean, 0.0)
+        np.maximum(clean, 0.0, out=clean)
 
     n = config.instances_per_class
-    features = np.repeat(clean, n, axis=0) \
-        + config.feature_noise * rng.normal((n_classes * n, config.feature_dim))
+    features = _around(clean, n, config.feature_noise, rng)
     class_ids = np.arange(1, n_classes + 1, dtype=np.int64)
     labels = np.repeat(class_ids, n)
 
@@ -347,6 +398,18 @@ def make_synthetic(config: SyntheticConfig) -> ZslDataset:
         super_ids=supers.astype(np.int64),
         seen_mask=seen,
     ).validate()
+
+
+def _around(centers: np.ndarray, n: int, scale: float, rng: RngStream) -> np.ndarray:
+    """`np.repeat(centers, n, axis=0) + scale * rng.normal(...)`, bit for bit,
+    with the noise drawn into the result and each center added through a
+    (K, n, D) view: no temporary of the result's size."""
+    out = np.empty((centers.shape[0] * n, centers.shape[1]))
+    rng.fill_normal(out)
+    out *= scale
+    grouped = out.reshape(centers.shape[0], n, -1)
+    grouped += centers[:, None, :]
+    return out
 
 
 def class_means(dataset: ZslDataset, class_ids) -> np.ndarray:

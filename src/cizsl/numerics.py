@@ -62,6 +62,11 @@ class RngStream:
         """Standard normal draws."""
         return self._gen.standard_normal(shape, dtype=np.float64)
 
+    def fill_normal(self, out: np.ndarray) -> None:
+        """Write into the float64 array `out` the draws `normal(out.shape)`
+        would return."""
+        self._gen.standard_normal(dtype=np.float64, out=out)
+
     def uniform(self, lo: float, hi: float, shape=None):
         """Uniform draws on [lo, hi)."""
         if not lo < hi:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cizsl.cli import load_experiment_config, main
-from cizsl.data import SyntheticConfig, ZslDataset, make_synthetic, save_dataset
+from cizsl.data import (SyntheticConfig, ZslDataset, make_synthetic, save_dataset,
+                        write_blob)
 from cizsl.evaluate import synthesize_centers, zsl_top1
 from cizsl.net import Generator, Layer, MlpNetwork, load_checkpoint, save_checkpoint
 from cizsl.numerics import STREAM_EVAL, RngStream
@@ -397,6 +398,20 @@ class TestRetrieveCommand:
         assert out == ""
         assert err == "error: class entry 2 field 'seen' must be a boolean, got 'no'\n"
 
+    def test_descriptor_blobs_of_two_widths_exit_1(self, tmp_path, capsys):
+        cfg, ckpt = self.make_exact_setup(tmp_path)
+        write_blob(tmp_path / "wide.czfd", np.ones((1, 7)), "<f8")
+        manifest = json.loads((tmp_path / "toy.json").read_text())
+        manifest["classes"][4].update(descriptor_blob="wide.czfd", descriptor_row=0)
+        (tmp_path / "toy.json").write_text(json.dumps(manifest))
+        code, out, err = run_cli(capsys, "retrieve", "--config", str(cfg),
+                                 "--checkpoint", str(ckpt))
+        assert code == 1
+        assert out == ""
+        assert err == ("error: descriptor blob wide.czfd has 7 columns but "
+                       "toy_descriptors.czfd has 6: every class entry needs a "
+                       "descriptor of one width\n")
+
     def test_empty_unseen_set_exits_1(self, tmp_path, capsys):
         cfg, ckpt = self.make_exact_setup(tmp_path)
         # rewrite the dataset with every class seen
@@ -443,6 +458,16 @@ class TestSynthCommand:
         seen_supers = set(ds.super_ids[ds.seen_mask].tolist())
         unseen_supers = set(ds.super_ids[~ds.seen_mask].tolist())
         assert seen_supers.isdisjoint(unseen_supers)
+
+    def test_writes_the_manifest_and_three_blobs_only(self, tmp_path, capsys):
+        # each file is written as <name>.tmp and moved into place
+        cfg = write_config(tmp_path / "cfg.json")
+        code, _, _ = run_cli(capsys, "synth", "--config", str(cfg),
+                             "--out", str(tmp_path / "ds"))
+        assert code == 0
+        assert sorted(f.name for f in (tmp_path / "ds").iterdir()) == [
+            "dataset.json", "dataset_descriptors.czfd", "dataset_features.czfd",
+            "dataset_labels.czfd"]
 
     def test_fixed_seed_reproduces_bytes(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")

@@ -1,16 +1,20 @@
+import errno
 import json
 import struct
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cizsl.data
 from cizsl.data import (SyntheticConfig, ZslDataset, class_means,
                         load_dataset, make_synthetic, save_dataset,
                         split_train_val, read_blob, write_blob)
 from cizsl.errors import (DatasetFormatError, InvalidConfigError,
                           InvalidInputError, InvalidSplitError)
+from cizsl.numerics import RngStream
 from helpers import datasets_equal
 
 
@@ -21,6 +25,60 @@ def small_config(**kw):
                 unseen_fraction=0.25, seed=3)
     base.update(kw)
     return SyntheticConfig(**base)
+
+
+def repeat_and_add(config):
+    """Descriptors and features of `make_synthetic(config)` by the plain
+    expressions: the whole feature map, `np.repeat` copies and the sums."""
+    rng = RngStream(config.seed, 100)
+    k = config.n_super * config.classes_per_super
+    prototypes = rng.normal((config.n_super, config.text_dim))
+    descriptors = np.repeat(prototypes, config.classes_per_super, axis=0) \
+        + config.descriptor_noise * rng.normal((k, config.text_dim))
+    mapping = rng.normal((config.feature_dim, config.text_dim)) / np.sqrt(config.text_dim)
+    clean = descriptors @ mapping.T
+    if config.nonlinear:
+        clean = np.maximum(clean, 0.0)
+    n = config.instances_per_class
+    features = np.repeat(clean, n, axis=0) \
+        + config.feature_noise * rng.normal((k * n, config.feature_dim))
+    return descriptors, features
+
+
+def blob_bytes(array, dtype="<f8"):
+    header = b"CZFD" + struct.pack("<HII", 1, array.shape[0], array.shape[1])
+    return header + array.astype(dtype).tobytes()
+
+
+def traced_peak(fn):
+    """(result of fn(), peak bytes traced while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def fail_halfway_through(name):
+    """An `open` for `cizsl.data` whose files named `name` raise ENOSPC after
+    writing half of the first payload larger than a blob header."""
+    def failing_open(path, mode):
+        f = open(path, mode)
+        if Path(path).name != name:
+            return f
+        write = f.write
+
+        def write_half(data):
+            view = memoryview(data).cast("B")
+            if view.nbytes > 14:
+                write(view[:view.nbytes // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write(view)
+        f.write = write_half
+        return f
+    return failing_open
 
 
 class TestBlobIO:
@@ -131,6 +189,56 @@ class TestManifestRoundTrip:
         with pytest.raises(DatasetFormatError, match=expected):
             load_dataset(tmp_path / "ds.json")
 
+    def test_descriptor_blobs_of_two_widths_rejected_naming_them(self, tmp_path):
+        save_dataset(make_synthetic(small_config()), tmp_path / "ds.json")
+        write_blob(tmp_path / "wide.czfd", np.ones((1, 9)), "<f8")
+        manifest = json.loads((tmp_path / "ds.json").read_text())
+        manifest["classes"][2].update(descriptor_blob="wide.czfd", descriptor_row=0)
+        (tmp_path / "ds.json").write_text(json.dumps(manifest))
+        with pytest.raises(DatasetFormatError, match="descriptor blob wide.czfd has 9 "
+                           "columns but ds_descriptors.czfd has 6"):
+            load_dataset(tmp_path / "ds.json")
+
+    @pytest.mark.parametrize("stem", ["ds", "new"])
+    def test_failed_save_leaves_older_dataset_loadable(self, tmp_path, monkeypatch, stem):
+        old = make_synthetic(small_config())
+        save_dataset(old, tmp_path / "ds.json")
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        monkeypatch.setattr(cizsl.data, "open",
+                            fail_halfway_through(f"{stem}_features.czfd.tmp"),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_dataset(make_synthetic(small_config(seed=4)), tmp_path / f"{stem}.json")
+        monkeypatch.undo()
+        # no temp file is left and no final name was written or replaced
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+        assert datasets_equal(old, load_dataset(tmp_path / "ds.json"))
+
+    def test_failed_blob_write_leaves_the_old_blob(self, tmp_path, monkeypatch):
+        write_blob(tmp_path / "a.czfd", np.zeros((2, 3)), "<f8")
+        monkeypatch.setattr(cizsl.data, "open", fail_halfway_through("a.czfd.tmp"),
+                            raising=False)
+        with pytest.raises(OSError):
+            write_blob(tmp_path / "a.czfd", np.ones((4, 3)), "<f8")
+        monkeypatch.undo()
+        assert [f.name for f in tmp_path.iterdir()] == ["a.czfd"]
+        assert np.array_equal(read_blob(tmp_path / "a.czfd", "<f8"), np.zeros((2, 3)))
+
+    def test_synth_save_and_load_hold_one_copy_of_the_features(self, tmp_path):
+        # 2,000 x 512 float64 features (8 MB); each step's traced peak stays
+        # within 1.1x the feature matrix + 1 MiB, where repeat-and-add
+        # synthesis held three copies and astype + tobytes saving two
+        cfg = small_config(n_super=10, classes_per_super=4, instances_per_class=50,
+                           text_dim=256, feature_dim=512)
+        bound = lambda ds: 1.1 * ds.features.nbytes + (1 << 20)
+        ds, peak = traced_peak(lambda: make_synthetic(cfg))
+        assert peak <= bound(ds)
+        _, peak = traced_peak(lambda: save_dataset(ds, tmp_path / "ds.json"))
+        assert peak <= bound(ds)
+        loaded, peak = traced_peak(lambda: load_dataset(tmp_path / "ds.json"))
+        assert peak <= bound(ds)
+        assert datasets_equal(ds, loaded)
+
     @staticmethod
     def first_class_renamed(cid):
         ds = make_synthetic(small_config())
@@ -163,6 +271,39 @@ class TestManifestRoundTrip:
 
 
 class TestSynthetic:
+    @pytest.mark.parametrize("kw", [
+        dict(split_mode="hard"), dict(split_mode="easy"),
+        dict(split_mode="hard", nonlinear=False), dict(split_mode="easy", nonlinear=False),
+        dict(instances_per_class=1), dict(instances_per_class=1, nonlinear=False)])
+    def test_bytes_equal_repeat_and_add(self, tmp_path, kw):
+        # features drawn into the output with a per-class add through a view
+        # are bit-equal to np.repeat(clean, n) + noise, and so are the blobs
+        cfg = small_config(**kw)
+        ds = make_synthetic(cfg)
+        descriptors, features = repeat_and_add(cfg)
+        assert ds.descriptors.tobytes() == descriptors.tobytes()
+        assert ds.features.tobytes() == features.tobytes()
+        save_dataset(ds, tmp_path / "ds.json")
+        assert (tmp_path / "ds_features.czfd").read_bytes() == blob_bytes(features)
+        assert (tmp_path / "ds_descriptors.czfd").read_bytes() == blob_bytes(descriptors)
+        assert (tmp_path / "ds_labels.czfd").read_bytes() == \
+            blob_bytes(ds.labels.reshape(-1, 1), "<u4")
+
+    @pytest.mark.parametrize("rows_per_block", [1, 5, 47])
+    def test_feature_map_in_row_blocks_matches_one_block(self, monkeypatch, rows_per_block):
+        # the map is drawn from one stream in row order, so blocks change no
+        # draw; a split product may round differently (up to 1.6e-15 here)
+        cfg = small_config(n_super=8, classes_per_super=4, instances_per_class=4,
+                           text_dim=32, feature_dim=48)
+        whole = make_synthetic(cfg)
+        monkeypatch.setattr(cizsl.data, "SYNTH_BLOCK_BYTES", 8 * 32 * rows_per_block)
+        blocked = make_synthetic(cfg)
+        assert np.array_equal(blocked.descriptors, whole.descriptors)
+        assert np.array_equal(blocked.labels, whole.labels)
+        assert np.array_equal(blocked.seen_mask, whole.seen_mask)
+        scale = np.max(np.abs(whole.features))
+        assert np.max(np.abs(blocked.features - whole.features)) <= 1e-12 * scale
+
     def test_hard_mode_supers_disjoint(self):
         ds = make_synthetic(small_config(split_mode="hard"))
         seen_supers = set(ds.super_ids[ds.seen_mask].tolist())
@@ -219,6 +360,41 @@ class TestSynthetic:
             easy.append(mean_min_dist(make_synthetic(small_config(
                 split_mode="easy", seed=seed))))
         assert np.mean(hard) > np.mean(easy)
+
+
+class TestValidate:
+    @staticmethod
+    def dataset(features, descriptors):
+        n, k = features.shape[0], descriptors.shape[0]
+        ids = np.arange(1, k + 1, dtype=np.int64)
+        return ZslDataset(features=features, labels=np.ones(n, dtype=np.int64),
+                          class_ids=ids, class_names=[f"c{i}" for i in ids],
+                          descriptors=descriptors, super_ids=ids.copy(),
+                          seen_mask=np.ones(k, dtype=bool))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["features", "descriptors"])
+    def test_non_finite_rejected(self, field, value):
+        arrays = {"features": np.zeros((4, 3)), "descriptors": np.zeros((2, 5))}
+        arrays[field][1, 2] = value
+        with pytest.raises(DatasetFormatError, match=f"{field} contain non-finite"):
+            self.dataset(**arrays).validate()
+
+    def test_extreme_finite_values_accepted(self):
+        big = np.full((3, 2), np.finfo(np.float64).max)
+        big[0] = -big[0]
+        self.dataset(big, big[:1].copy()).validate()
+
+    def test_empty_matrices_valid(self):
+        self.dataset(np.zeros((0, 3)), np.zeros((1, 0))).validate()
+
+    def test_restrict_to_shares_no_memory(self):
+        ds = make_synthetic(small_config())
+        sub = ds.restrict_to(ds.class_ids[:3])
+        for name in ("features", "labels", "class_ids", "descriptors", "super_ids",
+                     "seen_mask"):
+            assert not np.shares_memory(getattr(sub, name), getattr(ds, name))
+        assert np.array_equal(sub.features, ds.features[np.isin(ds.labels, ds.class_ids[:3])])
 
 
 class TestClassMeans:

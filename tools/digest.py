@@ -4,10 +4,11 @@ refactor leaves the program's outputs byte-identical.
     python tools/digest.py SEED > digest.txt
 
 Runs `python -m cizsl.cli` from this checkout's `src/` in a temporary
-directory: `train` with the default config, with `creativity_enabled: false`
-and with the extra-class ablation under the renyi divergence, then
-`sweep-lambda`, `eval` and `retrieve` on the default run's final checkpoint,
-and `gradcheck --seed 0`. SEED overrides the config seeds of every command
+directory: `synth` on the base config and on an easy-split, linear variant
+(the manifest and the three blobs), `train` with the default config, with
+`creativity_enabled: false` and with the extra-class ablation under the
+renyi divergence, then `sweep-lambda`, `eval` and `retrieve` on the default
+run's final checkpoint, and `gradcheck --seed 0`. SEED overrides the config seeds of every command
 but gradcheck. Prints one `sha256  artifact` line per output file and per
 command's stdout, sorted by artifact. Each command writes to its own output
 directory, whose path is replaced by `OUT` before hashing, so neither the
@@ -31,6 +32,11 @@ BASE_CONFIG = {
                   "text_dim": 32, "feature_dim": 48, "split_mode": "hard"},
     "train": {"n_steps": 200, "eval_interval": 50},
     "eval": {"samples_per_center": 60},
+}
+
+SYNTH_VARIANTS = {
+    "synth-base": {},
+    "synth-easy-linear": {"split_mode": "easy", "nonlinear": False},
 }
 
 TRAIN_VARIANTS = {
@@ -74,6 +80,11 @@ def main(argv: list[str]) -> int:
     lines: dict[str, str] = {}
     with tempfile.TemporaryDirectory(prefix="cizsl-digest-") as tmp:
         work = Path(tmp)
+        for label, synthetic in SYNTH_VARIANTS.items():
+            cfg = work / f"{label}.json"
+            cfg.write_text(json.dumps({
+                "synthetic": {**BASE_CONFIG["synthetic"], **synthetic}}))
+            _run(work, label, ["synth", "--config", str(cfg), "--seed", seed], lines)
         for label, train in TRAIN_VARIANTS.items():
             cfg = work / f"{label}.json"
             cfg.write_text(json.dumps({**BASE_CONFIG,
