@@ -154,8 +154,8 @@ def _blob_parts(array: np.ndarray, dtype: str) -> list:
 def _write_files(files) -> None:
     """Write each `(path, parts)` file, the buffers `parts` in turn, as
     `<name>.tmp`, then move them into place in the given order with
-    `os.replace`. If any write fails, every temp file is removed and no
-    final name has changed."""
+    `os.replace`. If a write fails, every temp file is removed before any
+    final name is touched."""
     temps = []
     try:
         for path, parts in files:
