@@ -17,14 +17,12 @@ import sys
 import typing
 from pathlib import Path
 
-import numpy as np
-
-from .data import SyntheticConfig, class_means, load_dataset, make_synthetic, save_dataset
+from .data import (SyntheticConfig, _write_files, load_dataset, make_synthetic,
+                   save_dataset)
 from .errors import (CizslError, DatasetFormatError, InvalidConfigError,
                      InvalidInputError, InvalidSplitError)
-from .evaluate import (ClassCenters, curve_csv, curve_svg, harmonic_mean,
-                       retrieval_precision, seen_unseen_curve, synthesize_centers,
-                       valid_retrieval_ratio)
+from .evaluate import (curve_csv, curve_svg, generalized_curve, harmonic_mean,
+                       retrieval_precision, unseen_centers, valid_retrieval_ratio)
 from .gradcheck import run_gradient_contract
 from .net import load_checkpoint, save_checkpoint
 from .numerics import RngStream, STREAM_EVAL
@@ -177,13 +175,13 @@ def cmd_train(args) -> int:
     dataset = cfg.load_data()
     run_dir = Path(cfg.out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(_config_snapshot(cfg))
+    _write_files([(run_dir / "config.json", [_config_snapshot(cfg).encode()])])
 
     def snap(it, gen, disc, div):
         save_checkpoint(run_dir / f"checkpoint_{it:06d}.czsl", gen, disc)
 
     model = train(dataset, cfg.train, snapshot_fn=snap)
-    (run_dir / "history.csv").write_text(model.history.to_csv())
+    _write_files([(run_dir / "history.csv", [model.history.to_csv().encode()])])
     save_checkpoint(run_dir / "checkpoint_final.czsl", model.generator,
                     model.discriminator)
     print(f"steps={cfg.train.n_steps}")
@@ -210,31 +208,18 @@ def _load_eval_inputs(args):
     return cfg, dataset, gen, disc
 
 
-def _unseen_centers(cfg, dataset, gen) -> ClassCenters:
-    descriptors = {int(c): dataset.descriptor_of(int(c))
-                   for c in dataset.unseen_class_ids}
-    if not descriptors:
-        raise InvalidInputError("dataset has no unseen classes to evaluate")
-    return synthesize_centers(gen, descriptors, cfg.eval.samples_per_center,
-                              RngStream(cfg.train.seed, STREAM_EVAL))
-
-
 def cmd_eval(args) -> int:
     cfg, dataset, gen, _ = _load_eval_inputs(args)
-    unseen_centers = _unseen_centers(cfg, dataset, gen)
-    seen_ids = np.sort(dataset.seen_class_ids)
-    seen_centers = ClassCenters(class_ids=seen_ids,
-                                centers=class_means(dataset, seen_ids))
-    curve = seen_unseen_curve(dataset.features, dataset.labels, seen_centers,
-                              unseen_centers, metric=cfg.eval.metric)
+    curve = generalized_curve(gen, dataset, cfg.eval.samples_per_center,
+                              RngStream(cfg.train.seed, STREAM_EVAL), cfg.eval.metric)
     # the +inf anchor predicts every row unseen: zero-shot top-1
     top1 = float(curve.unseen_acc[-1])
     h = harmonic_mean(*curve.at_zero)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "curve.csv").write_text(curve_csv(curve))
-    (out_dir / "curve.svg").write_text(curve_svg(curve))
+    _write_files([(out_dir / "curve.csv", [curve_csv(curve).encode()]),
+                  (out_dir / "curve.svg", [curve_svg(curve).encode()])])
     print(f"top1={_fmt(top1)}")
     print(f"su_auc={_fmt(curve.auc)}")
     print(f"harmonic_mean={_fmt(h)}")
@@ -247,10 +232,10 @@ def cmd_retrieve(args) -> int:
     if args.ratios:
         ratios = tuple(_float_list(args.ratios, "--ratios"))
         dataclasses.replace(cfg.eval, retrieval_ratios=ratios).validate()
-    unseen_centers = _unseen_centers(cfg, dataset, gen)
-    precisions = retrieval_precision(dataset.features, dataset.labels,
-                                     unseen_centers, ratios=ratios,
-                                     metric=cfg.eval.metric)
+    centers = unseen_centers(gen, dataset, cfg.eval.samples_per_center,
+                             RngStream(cfg.train.seed, STREAM_EVAL))
+    precisions = retrieval_precision(dataset.features, dataset.labels, centers,
+                                     ratios=ratios, metric=cfg.eval.metric)
     for ratio in ratios:
         print(f"precision_at_{_fmt(ratio)}={_fmt(precisions[float(ratio)])}")
     return 0
@@ -296,7 +281,7 @@ def cmd_sweep_lambda(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["lambda,iteration,val_auc"]
     lines += [f"{_fmt(lam)},{it},{_fmt(auc)}" for lam, it, auc in rows]
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
+    _write_files([(out_dir / "sweep.csv", [("\n".join(lines) + "\n").encode()])])
     print(f"best_lambda={_fmt(best)}")
     return 0
 

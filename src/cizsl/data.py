@@ -44,14 +44,16 @@ _JSON_TYPE_NAMES = {int: "a 64-bit integer", bool: "a boolean", str: "a string",
 class ZslDataset:
     """Feature vectors plus a class table with seen/unseen flags.
 
-    `labels` holds class ids, one per feature row. Unseen classes never
-    contribute rows to training (the training loop only reads seen-class
-    instances); rows labeled with unseen classes are the evaluation pool.
+    The class table is in ascending id order, so the seen and unseen
+    classes are masks of one sorted table. `labels` holds class ids, one
+    per feature row. Unseen classes never contribute rows to training (the
+    training loop only reads seen-class instances); rows labeled with
+    unseen classes are the evaluation pool.
     """
 
     features: np.ndarray      # (N, X)
     labels: np.ndarray        # (N,) class ids
-    class_ids: np.ndarray     # (K,)
+    class_ids: np.ndarray     # (K,) strictly ascending
     class_names: list[str]
     descriptors: np.ndarray   # (K, T)
     super_ids: np.ndarray     # (K,)
@@ -62,18 +64,21 @@ class ZslDataset:
             raise DatasetFormatError("features must be a 2-D matrix")
         if self.labels.shape != (self.features.shape[0],):
             raise DatasetFormatError("one label required per feature row")
-        k = self.class_ids.shape[0]
+        ids = self.class_ids
+        k = ids.shape[0]
         if len(self.class_names) != k or self.descriptors.shape[0] != k \
                 or self.super_ids.shape[0] != k or self.seen_mask.shape[0] != k:
             raise DatasetFormatError("class table columns have inconsistent lengths")
-        uniq, counts = np.unique(self.class_ids, return_counts=True)
-        if np.any(counts > 1):
-            dup = int(uniq[counts > 1][0])
-            raise DatasetFormatError(f"duplicate class id {dup}")
-        known = set(int(c) for c in self.class_ids)
-        for lbl in np.unique(self.labels):
-            if int(lbl) not in known:
-                raise DatasetFormatError(f"dangling label {int(lbl)} has no class entry")
+        steps = np.flatnonzero(ids[1:] <= ids[:-1])
+        if steps.size:
+            a, b = int(ids[steps[0]]), int(ids[steps[0] + 1])
+            raise DatasetFormatError(f"duplicate class id {a}" if a == b else
+                                     f"class id {b} follows class id {a}: "
+                                     f"class ids must ascend")
+        dangling = self.labels[~np.isin(self.labels, ids)]
+        if dangling.size:
+            raise DatasetFormatError(
+                f"dangling label {int(dangling.min())} has no class entry")
         if not _all_finite(self.features):
             raise DatasetFormatError("features contain non-finite values")
         if not _all_finite(self.descriptors):
@@ -102,20 +107,10 @@ class ZslDataset:
     def unseen_class_ids(self) -> np.ndarray:
         return self.class_ids[~self.seen_mask]
 
-    def class_index(self, class_id: int) -> int:
-        idx = np.flatnonzero(self.class_ids == class_id)
-        if idx.size == 0:
-            raise InvalidInputError(f"unknown class id {class_id}")
-        return int(idx[0])
-
-    def descriptor_of(self, class_id: int) -> np.ndarray:
-        return self.descriptors[self.class_index(class_id)]
-
     def restrict_to(self, class_ids) -> "ZslDataset":
         """New dataset holding only the listed classes and their instances."""
-        wanted = set(int(c) for c in class_ids)
-        cls_sel = np.array([int(c) in wanted for c in self.class_ids])
-        row_sel = np.isin(self.labels, list(wanted))
+        cls_sel = np.isin(self.class_ids, class_ids)
+        row_sel = np.isin(self.labels, self.class_ids[cls_sel])
         # boolean indexing copies: each field is copied once
         return ZslDataset(
             features=self.features[row_sel],
@@ -129,9 +124,7 @@ class ZslDataset:
 
     def with_seen_flags(self, seen_ids) -> "ZslDataset":
         """Same data with the seen flag true exactly for the listed classes."""
-        seen = set(int(c) for c in seen_ids)
-        mask = np.array([int(c) in seen for c in self.class_ids])
-        return replace(self, seen_mask=mask).validate()
+        return replace(self, seen_mask=np.isin(self.class_ids, seen_ids)).validate()
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -169,10 +162,6 @@ def _write_files(files) -> None:
         for temp in temps:
             temp.unlink(missing_ok=True)
         raise
-
-
-def write_blob(path, array: np.ndarray, dtype: str) -> None:
-    _write_files([(Path(path), _blob_parts(array, dtype))])
 
 
 def read_blob(path, dtype: str) -> np.ndarray:
@@ -265,8 +254,9 @@ def load_dataset(manifest_path) -> ZslDataset:
     features = read_blob(base / manifest["features_blob"], "<f8")
     labels = read_blob(base / manifest["labels_blob"], "<u4").ravel().astype(np.int64)
 
-    desc_cache: dict[str, np.ndarray] = {}
-    entries, desc_rows = [], []
+    # the one layout `save_dataset` writes: entry i names row i of one
+    # descriptor blob, which is then the descriptor matrix as read
+    entries = []
     for i, entry in enumerate(manifest["classes"]):
         if not isinstance(entry, dict):
             raise DatasetFormatError(f"class entry {i} must be an object, got {entry!r}")
@@ -276,24 +266,24 @@ def load_dataset(manifest_path) -> ZslDataset:
         entries.append({key: _json_field(entry, key, kind, f"class entry {i}")
                         for key, kind in _MANIFEST_CLASS_KEYS.items()})
         blob, row = entry["descriptor_blob"], entry["descriptor_row"]
-        if blob not in desc_cache:
-            desc_cache[blob] = read_blob(base / blob, "<f8")
-        table, first = desc_cache[blob], entries[0]["descriptor_blob"]
-        if table.shape[1] != desc_cache[first].shape[1]:
+        if blob != entries[0]["descriptor_blob"] or row != i:
             raise DatasetFormatError(
-                f"descriptor blob {blob} has {table.shape[1]} columns but "
-                f"{first} has {desc_cache[first].shape[1]}: every class "
-                f"entry needs a descriptor of one width")
-        if not 0 <= row < table.shape[0]:
+                f"class entry {i} names row {row} of descriptor blob {blob}: entry i "
+                f"must name row i of the one blob {entries[0]['descriptor_blob']}")
+    descriptors = np.empty((0, 0))
+    if entries:
+        blob = entries[0]["descriptor_blob"]
+        descriptors = read_blob(base / blob, "<f8")
+        if descriptors.shape[0] != len(entries):
             raise DatasetFormatError(
-                f"descriptor_row {row} out of range for blob {blob}")
-        desc_rows.append(table[row])
+                f"descriptor blob {blob} has {descriptors.shape[0]} rows for "
+                f"{len(entries)} classes")
     return ZslDataset(
         features=features,
         labels=labels,
         class_ids=np.array([e["id"] for e in entries], dtype=np.int64),
         class_names=[e["name"] for e in entries],
-        descriptors=np.array(desc_rows, dtype=np.float64),
+        descriptors=descriptors,
         super_ids=np.array([e["super"] for e in entries], dtype=np.int64),
         seen_mask=np.array([e["seen"] for e in entries], dtype=bool),
     ).validate()
@@ -445,7 +435,7 @@ def split_train_val(dataset: ZslDataset, ratio: float = 0.8,
     instances stay in the dataset as the validation pool, which training
     never reads. Unseen classes are dropped.
     """
-    seen_ids = np.sort(dataset.seen_class_ids)
+    seen_ids = dataset.seen_class_ids
     if seen_ids.size < 2:
         raise InvalidSplitError("need at least 2 seen classes to split")
     n_train = int(round(ratio * seen_ids.size))

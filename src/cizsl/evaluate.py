@@ -1,6 +1,8 @@
 """Zero-shot and generalized zero-shot evaluation: unseen-class feature
 synthesis, nearest-center classification, the seen/unseen trade-off curve
 with its AUC, harmonic mean, and per-class retrieval precision.
+`generalized_curve` is the one GZSL scorer that `cizsl eval` and the
+lambda cross-validation share.
 
 Accuracies are macro (per class, then averaged). Equal computed distances go
 to the smaller class id (nearest center) or instance index (retrieval);
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import ZslDataset, class_means
 from .errors import InvalidInputError
 from .net import Generator
 from .numerics import RngStream
@@ -46,34 +49,57 @@ class ClassCenters:
 CENTER_BLOCK_ROWS = 256
 
 
-def synthesize_centers(gen: Generator, descriptors: dict[int, np.ndarray],
+def synthesize_centers(gen: Generator, class_ids, descriptors: np.ndarray,
                        n: int, rng: RngStream) -> ClassCenters:
     """Per-class mean of n generated features, one noise batch per class.
 
-    Each class draws from a stream derived from its id, so the result is
-    deterministic and independent of dict ordering. Each descriptor is
-    embedded once; the trunk runs over blocks of whole classes of at most
-    `CENTER_BLOCK_ROWS` rows.
+    `descriptors` holds one (text_dim,) row per id of `class_ids`, in any
+    order. Each class draws from a stream derived from its id, so the
+    result is deterministic and independent of that order. Each descriptor
+    is embedded once; the trunk runs over blocks of whole classes of at
+    most `CENTER_BLOCK_ROWS` rows.
     """
     if n < 1:
         raise InvalidInputError(f"need n >= 1 samples per center, got {n}")
-    ids = sorted(int(c) for c in descriptors)
-    t = np.empty((len(ids), gen.text_dim))
-    for row, cid in zip(t, ids):
-        d = np.asarray(descriptors[cid], dtype=np.float64)
-        if d.shape != row.shape:
-            raise InvalidInputError(f"descriptor of class {cid} has shape {d.shape}, "
-                                    f"expected {row.shape}")
-        row[...] = d
-    e = gen.embed.forward(t)
-    centers = np.empty((len(ids), gen.output_dim))
+    ids = np.asarray(class_ids, dtype=np.int64)
+    t = np.asarray(descriptors, dtype=np.float64)
+    if t.shape != (ids.size, gen.text_dim):
+        raise InvalidInputError(f"descriptors have shape {t.shape}, expected "
+                                f"{(ids.size, gen.text_dim)}: one row per class id")
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    e = gen.embed.forward(t[order])
+    centers = np.empty((ids.size, gen.output_dim))
     per_block = max(1, CENTER_BLOCK_ROWS // n)
-    for a in range(0, len(ids), per_block):
+    for a in range(0, ids.size, per_block):
         block = ids[a:a + per_block]
-        z = np.concatenate([rng.derive(cid).normal((n, gen.noise_dim)) for cid in block])
+        z = np.concatenate([rng.derive(int(cid)).normal((n, gen.noise_dim))
+                            for cid in block])
         x = gen.trunk.forward(gen.trunk_input(e[a:a + len(block)], z, repeats=n))
         x.reshape(len(block), n, -1).mean(axis=1, out=centers[a:a + len(block)])
-    return ClassCenters(class_ids=np.array(ids), centers=centers)
+    return ClassCenters(class_ids=ids, centers=centers)
+
+
+def unseen_centers(gen: Generator, dataset: ZslDataset, n: int,
+                   rng: RngStream) -> ClassCenters:
+    """Centers generated from the descriptors of the dataset's unseen classes."""
+    unseen = ~dataset.seen_mask
+    if not unseen.any():
+        raise InvalidInputError("dataset has no unseen classes to evaluate")
+    return synthesize_centers(gen, dataset.class_ids[unseen],
+                              dataset.descriptors[unseen], n, rng)
+
+
+def generalized_curve(gen: Generator, dataset: ZslDataset, n: int, rng: RngStream,
+                      metric: str = "l2") -> SeenUnseenCurve:
+    """The generalized zero-shot score of `gen` on every row of `dataset`:
+    generated unseen centers (`unseen_centers`), the seen classes' real
+    feature means, and the seen/unseen curve between them."""
+    unseen = unseen_centers(gen, dataset, n, rng)
+    seen_ids = dataset.seen_class_ids
+    seen = ClassCenters(class_ids=seen_ids, centers=class_means(dataset, seen_ids))
+    return seen_unseen_curve(dataset.features, dataset.labels, seen, unseen,
+                             metric=metric)
 
 
 def _distances(features: np.ndarray, centers: np.ndarray, metric: str) -> np.ndarray:

@@ -102,6 +102,18 @@ def _param_fd(model, objective) -> np.ndarray:
     return fd
 
 
+def _free_param_errors(params: DivergenceParams, objective, grads):
+    """(name, relative error) of each analytic derivative in `grads`, the
+    d/dgamma and d/dbeta of `objective(params)`, against a central
+    difference, for the parameters the mode leaves free."""
+    for name in params.free:
+        grad = grads[("gamma", "beta").index(name)]
+        fd = finite_diff_gradient(
+            lambda v: objective(replace(params, **{name: float(v[0])})),
+            np.array([getattr(params, name)]), 1e-6)
+        yield name, relative_error(np.array([grad]), fd)
+
+
 def run_gradient_contract(seed: int = 0, n_configs: int = 20) -> GradReport:
     """Check every loss family over `n_configs` random configurations."""
     rng = RngStream(seed, 900)
@@ -132,18 +144,9 @@ def run_gradient_contract(seed: int = 0, n_configs: int = 20) -> GradReport:
         jac = (np.eye(k_cls) * s - np.outer(raw0, np.ones(k_cls))) / s ** 2
         record("divergence_dp", relative_error(jac.T @ dp, fd_raw))
 
-        if "gamma" in params.free:
-            def div_of_gamma(gv):
-                return sm_divergence(p, q, replace(params, gamma=float(gv[0])))
-
-            fd_g = finite_diff_gradient(div_of_gamma, np.array([params.gamma]), 1e-6)
-            record("divergence_dgamma", relative_error(np.array([dg]), fd_g))
-        if "beta" in params.free:
-            def div_of_beta(bv):
-                return sm_divergence(p, q, replace(params, beta=float(bv[0])))
-
-            fd_b = finite_diff_gradient(div_of_beta, np.array([params.beta]), 1e-6)
-            record("divergence_dbeta", relative_error(np.array([db]), fd_b))
+        for name, err in _free_param_errors(
+                params, lambda dp: sm_divergence(p, q, dp), (dg, db)):
+            record(f"divergence_d{name}", err)
 
         # logits of a hallucinated batch for the creativity-term families,
         # drawn here so that every later draw keeps its place in the stream
@@ -168,20 +171,10 @@ def run_gradient_contract(seed: int = 0, n_configs: int = 20) -> GradReport:
             logits0.ravel().copy(), 1e-6)
         record("creativity_loss_dlogits", relative_error(d_logits.ravel(), fd))
 
-        if "gamma" in params.free:
-            def creat_of_gamma(gv):
-                return creativity_loss(logits0, lam, replace(params, gamma=float(gv[0])),
-                                       norm_bounds=bounds)[0]
-
-            fd_g = finite_diff_gradient(creat_of_gamma, np.array([params.gamma]), 1e-6)
-            record("creativity_loss_dgamma", relative_error(np.array([grad_div[0]]), fd_g))
-        if "beta" in params.free:
-            def creat_of_beta(bv):
-                return creativity_loss(logits0, lam, replace(params, beta=float(bv[0])),
-                                       norm_bounds=bounds)[0]
-
-            fd_b = finite_diff_gradient(creat_of_beta, np.array([params.beta]), 1e-6)
-            record("creativity_loss_dbeta", relative_error(np.array([grad_div[1]]), fd_b))
+        for name, err in _free_param_errors(
+                params, lambda dp: creativity_loss(logits0, lam, dp, norm_bounds=bounds)[0],
+                grad_div):
+            record(f"creativity_loss_d{name}", err)
 
         # visual pivot w.r.t. the generated rows
         x_p = rng.normal((1, m + 1, x_dim))

@@ -22,9 +22,11 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from .data import _write_files
 from .errors import DatasetFormatError, InvalidInputError, InvalidStateError
 from .numerics import RngStream
 
@@ -560,15 +562,12 @@ def save_checkpoint(path, gen: Generator, disc: Discriminator) -> None:
     if gen.members is not None or disc.members is not None:
         raise InvalidInputError("a checkpoint holds one model: save each member of a stack")
     nets = [gen.embed, gen.trunk, disc.net]
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<H", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(nets)))
-        f.write(struct.pack("<I", gen.noise_dim))
-        for net in nets:
-            f.write(_net_header(net))
-        for model in (gen, disc):
-            f.write(model.params.astype("<f8", copy=False).tobytes())
+    header = b"".join([CHECKPOINT_MAGIC,
+                       struct.pack("<HII", CHECKPOINT_VERSION, len(nets), gen.noise_dim),
+                       *(_net_header(net) for net in nets)])
+    # each model's params buffer is written as it is, through a temp file
+    _write_files([(Path(path), [header, *(np.ascontiguousarray(model.params, dtype="<f8")
+                                          for model in (gen, disc))])])
 
 
 def _read_exact(f, n: int, what: str) -> bytes:

@@ -16,7 +16,7 @@ import numpy as np
 from .data import ZslDataset, class_means, split_train_val
 from .divergence import DivergenceParams
 from .errors import InvalidConfigError, InvalidInputError, InvalidSplitError, TrainingDivergedError
-from .evaluate import ClassCenters, seen_unseen_curve, synthesize_centers
+from .evaluate import generalized_curve
 from .losses import ALPHA_MODES, discriminator_loss, generator_loss, hallucinate_batch
 from .net import (DiscriminatorArch, Generator, GeneratorArch, build_discriminator,
                   build_generator, Discriminator)
@@ -169,12 +169,12 @@ def train_lockstep(dataset: ZslDataset, configs, snapshot_fns=None) -> list[Trai
     snapshot_fns = [None] * len(configs) if snapshot_fns is None else list(snapshot_fns)
     if len(snapshot_fns) != len(configs):
         raise InvalidInputError("need one snapshot function (or None) per config")
-    seen_ids = np.sort(dataset.seen_class_ids)
+    seen_ids = dataset.seen_class_ids
     if seen_ids.size < 2:
         raise InvalidInputError("training needs at least 2 seen classes")
     m, n_critic = config.batch_size, config.n_critic
 
-    seen_desc = np.array([dataset.descriptor_of(int(c)) for c in seen_ids])
+    seen_desc = dataset.descriptors[dataset.seen_mask]
     # the seen rows are read in place through their indices, not copied
     pool = np.flatnonzero(np.isin(dataset.labels, seen_ids))
     y_pool = np.searchsorted(seen_ids, dataset.labels[pool])
@@ -288,17 +288,8 @@ def validation_auc(model_gen: Generator, train_ds: ZslDataset,
     """Seen/unseen AUC on a split dataset whose pseudo-unseen classes carry
     their held-out instances: real centers for seen classes, synthesized
     centers for the pseudo-unseen ones."""
-    seen_ids = np.sort(train_ds.seen_class_ids)
-    val_ids = np.sort(train_ds.unseen_class_ids)
-    seen_centers = ClassCenters(class_ids=seen_ids,
-                                centers=class_means(train_ds, seen_ids))
-    descriptors = {int(c): train_ds.descriptor_of(int(c)) for c in val_ids}
-    unseen_centers = synthesize_centers(
-        model_gen, descriptors, samples_per_center,
-        RngStream(seed, STREAM_EVAL))
-    curve = seen_unseen_curve(train_ds.features, train_ds.labels, seen_centers,
-                              unseen_centers, metric=metric)
-    return curve.auc
+    return generalized_curve(model_gen, train_ds, samples_per_center,
+                             RngStream(seed, STREAM_EVAL), metric).auc
 
 
 def _sweep_chunk(args):

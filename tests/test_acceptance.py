@@ -155,8 +155,8 @@ def _benchmark_auc(model, ds, seed):
     seen_ids = np.sort(ds.seen_class_ids)
     seen_centers = ClassCenters(class_ids=seen_ids,
                                 centers=class_means(ds, seen_ids))
-    desc = {int(c): ds.descriptor_of(int(c)) for c in ds.unseen_class_ids}
-    unseen = synthesize_centers(model.generator, desc, 30,
+    unseen = synthesize_centers(model.generator, ds.unseen_class_ids,
+                                ds.descriptors[~ds.seen_mask], 30,
                                 RngStream(seed, STREAM_EVAL))
     return seen_unseen_curve(ds.features, ds.labels, seen_centers, unseen).auc
 

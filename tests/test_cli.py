@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cizsl.data
 from cizsl.cli import load_experiment_config, main
-from cizsl.data import (SyntheticConfig, ZslDataset, make_synthetic, save_dataset,
-                        write_blob)
+from cizsl.data import SyntheticConfig, ZslDataset, make_synthetic, save_dataset
 from cizsl.evaluate import synthesize_centers, zsl_top1
 from cizsl.net import Generator, Layer, MlpNetwork, load_checkpoint, save_checkpoint
 from cizsl.numerics import STREAM_EVAL, RngStream
+from helpers import fail_halfway_through, write_blob
 
 
 EXAMPLE_CONFIG = """\
@@ -106,6 +107,14 @@ class TestTrainCommand:
         assert (run / "checkpoint_000010.czsl").exists()
         assert json.loads((run / "config.json").read_text())["train"]["n_steps"] == 10
         assert "final_loss_g=" in out
+
+    def test_writes_every_file_through_a_temp_name(self, tmp_path, capsys):
+        # each file is written as <name>.tmp and moved into place
+        cfg = write_config(tmp_path / "cfg.json")
+        assert run_cli(capsys, "train", "--config", str(cfg))[0] == 0
+        assert sorted(f.name for f in (tmp_path / "run").iterdir()) == [
+            "checkpoint_000005.czsl", "checkpoint_000010.czsl", "checkpoint_final.czsl",
+            "config.json", "history.csv"]
 
     def test_malformed_config_exits_1_naming_field(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -241,6 +250,24 @@ class TestEvalCommands:
         svg = (tmp / "eval" / "curve.svg").read_text()
         assert svg.startswith("<svg")
 
+    def test_failed_curve_write_leaves_the_older_curve(self, trained_run, capsys,
+                                                       tmp_path, monkeypatch):
+        cfg_path, ckpt, _ = trained_run
+        out = tmp_path / "eval"
+        out.mkdir()
+        for name in ("curve.csv", "curve.svg"):
+            (out / name).write_text("older\n")
+        monkeypatch.setattr(cizsl.data, "open", fail_halfway_through("curve.csv.tmp"),
+                            raising=False)
+        code, _, err = run_cli(capsys, "eval", "--config", str(cfg_path),
+                               "--checkpoint", str(ckpt), "--out", str(out))
+        monkeypatch.undo()
+        assert code == 1
+        assert "No space left" in err
+        # neither curve file was replaced and no temp file is left
+        assert {f.name: f.read_text() for f in out.iterdir()} == {
+            "curve.csv": "older\n", "curve.svg": "older\n"}
+
     def test_missing_checkpoint_exits_1(self, trained_run, capsys):
         cfg_path, _, tmp = trained_run
         capsys.readouterr()
@@ -261,8 +288,8 @@ class TestEvalCommands:
         cfg = load_experiment_config(cfg_path)
         ds = cfg.load_data()
         gen, _ = load_checkpoint(ckpt)
-        desc = {int(c): ds.descriptor_of(int(c)) for c in ds.unseen_class_ids}
-        centers = synthesize_centers(gen, desc, cfg.eval.samples_per_center,
+        centers = synthesize_centers(gen, ds.unseen_class_ids, ds.descriptors[~ds.seen_mask],
+                                     cfg.eval.samples_per_center,
                                      RngStream(cfg.train.seed, STREAM_EVAL))
         rows = np.isin(ds.labels, ds.unseen_class_ids)
         top1 = zsl_top1(ds.features[rows], ds.labels[rows], centers)
@@ -398,7 +425,7 @@ class TestRetrieveCommand:
         assert out == ""
         assert err == "error: class entry 2 field 'seen' must be a boolean, got 'no'\n"
 
-    def test_descriptor_blobs_of_two_widths_exit_1(self, tmp_path, capsys):
+    def test_entry_naming_another_blob_exits_1(self, tmp_path, capsys):
         cfg, ckpt = self.make_exact_setup(tmp_path)
         write_blob(tmp_path / "wide.czfd", np.ones((1, 7)), "<f8")
         manifest = json.loads((tmp_path / "toy.json").read_text())
@@ -408,9 +435,8 @@ class TestRetrieveCommand:
                                  "--checkpoint", str(ckpt))
         assert code == 1
         assert out == ""
-        assert err == ("error: descriptor blob wide.czfd has 7 columns but "
-                       "toy_descriptors.czfd has 6: every class entry needs a "
-                       "descriptor of one width\n")
+        assert err == ("error: class entry 4 names row 0 of descriptor blob wide.czfd: "
+                       "entry i must name row i of the one blob toy_descriptors.czfd\n")
 
     def test_empty_unseen_set_exits_1(self, tmp_path, capsys):
         cfg, ckpt = self.make_exact_setup(tmp_path)

@@ -1,9 +1,7 @@
-import errno
 import json
 import struct
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +9,11 @@ import pytest
 import cizsl.data
 from cizsl.data import (SyntheticConfig, ZslDataset, class_means,
                         load_dataset, make_synthetic, save_dataset,
-                        split_train_val, read_blob, write_blob)
+                        split_train_val, read_blob)
 from cizsl.errors import (DatasetFormatError, InvalidConfigError,
                           InvalidInputError, InvalidSplitError)
 from cizsl.numerics import RngStream
-from helpers import datasets_equal
+from helpers import datasets_equal, fail_halfway_through, write_blob
 
 
 def small_config(**kw):
@@ -59,26 +57,6 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return out, peak
-
-
-def fail_halfway_through(name):
-    """An `open` for `cizsl.data` whose files named `name` raise ENOSPC after
-    writing half of the first payload larger than a blob header."""
-    def failing_open(path, mode):
-        f = open(path, mode)
-        if Path(path).name != name:
-            return f
-        write = f.write
-
-        def write_half(data):
-            view = memoryview(data).cast("B")
-            if view.nbytes > 14:
-                write(view[:view.nbytes // 2])
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return write(view)
-        f.write = write_half
-        return f
-    return failing_open
 
 
 class TestBlobIO:
@@ -189,14 +167,42 @@ class TestManifestRoundTrip:
         with pytest.raises(DatasetFormatError, match=expected):
             load_dataset(tmp_path / "ds.json")
 
-    def test_descriptor_blobs_of_two_widths_rejected_naming_them(self, tmp_path):
+    def test_entry_naming_another_blob_rejected_naming_it(self, tmp_path):
         save_dataset(make_synthetic(small_config()), tmp_path / "ds.json")
         write_blob(tmp_path / "wide.czfd", np.ones((1, 9)), "<f8")
         manifest = json.loads((tmp_path / "ds.json").read_text())
         manifest["classes"][2].update(descriptor_blob="wide.czfd", descriptor_row=0)
         (tmp_path / "ds.json").write_text(json.dumps(manifest))
-        with pytest.raises(DatasetFormatError, match="descriptor blob wide.czfd has 9 "
-                           "columns but ds_descriptors.czfd has 6"):
+        with pytest.raises(DatasetFormatError, match="class entry 2 names row 0 of "
+                           "descriptor blob wide.czfd"):
+            load_dataset(tmp_path / "ds.json")
+
+    @pytest.mark.parametrize("entry,row", [(3, 2), (11, 12)])
+    def test_entry_naming_another_row_rejected_naming_it(self, tmp_path, entry, row):
+        # entry i must name row i: the blob is the descriptor matrix as read
+        save_dataset(make_synthetic(small_config()), tmp_path / "ds.json")
+        manifest = json.loads((tmp_path / "ds.json").read_text())
+        manifest["classes"][entry]["descriptor_row"] = row
+        (tmp_path / "ds.json").write_text(json.dumps(manifest))
+        with pytest.raises(DatasetFormatError, match=f"class entry {entry} names row "
+                           f"{row} of descriptor blob ds_descriptors.czfd"):
+            load_dataset(tmp_path / "ds.json")
+
+    @pytest.mark.parametrize("rows", [11, 13])
+    def test_descriptor_blob_needs_one_row_per_class(self, tmp_path, rows):
+        save_dataset(make_synthetic(small_config()), tmp_path / "ds.json")
+        write_blob(tmp_path / "ds_descriptors.czfd", np.ones((rows, 6)), "<f8")
+        with pytest.raises(DatasetFormatError, match=f"descriptor blob ds_descriptors.czfd "
+                           f"has {rows} rows for 12 classes"):
+            load_dataset(tmp_path / "ds.json")
+
+    def test_ids_that_do_not_ascend_rejected_naming_both(self, tmp_path):
+        save_dataset(make_synthetic(small_config()), tmp_path / "ds.json")
+        manifest = json.loads((tmp_path / "ds.json").read_text())
+        manifest["classes"][4]["id"] = 2
+        (tmp_path / "ds.json").write_text(json.dumps(manifest))
+        with pytest.raises(DatasetFormatError, match="class id 2 follows class id 4: "
+                           "class ids must ascend"):
             load_dataset(tmp_path / "ds.json")
 
     @pytest.mark.parametrize("stem", ["ds", "new"])
@@ -239,23 +245,34 @@ class TestManifestRoundTrip:
         assert peak <= bound(ds)
         assert datasets_equal(ds, loaded)
 
+    def test_load_holds_one_copy_of_the_descriptors(self, tmp_path):
+        # 200 classes x 7,551-d descriptors (11.5 MiB) and 16-d features:
+        # the descriptor blob is used as read, with no per-row gather
+        cfg = small_config(n_super=40, classes_per_super=5, instances_per_class=2,
+                           text_dim=7551, feature_dim=16)
+        save_dataset(make_synthetic(cfg), tmp_path / "ds.json")
+        loaded, peak = traced_peak(lambda: load_dataset(tmp_path / "ds.json"))
+        assert peak <= 1.1 * loaded.descriptors.nbytes + (1 << 20)
+
     @staticmethod
-    def first_class_renamed(cid):
+    def end_class_renamed(cid):
+        # the first class takes an id below the table, the last one above,
+        # so the ids still ascend
         ds = make_synthetic(small_config())
-        first = ds.class_ids[0]
-        return replace(ds, class_ids=np.where(ds.class_ids == first, cid, ds.class_ids),
-                       labels=np.where(ds.labels == first, cid, ds.labels))
+        end = ds.class_ids[0 if cid < ds.class_ids[0] else -1]
+        return replace(ds, class_ids=np.where(ds.class_ids == end, cid, ds.class_ids),
+                       labels=np.where(ds.labels == end, cid, ds.labels))
 
     @pytest.mark.parametrize("cid", [-1, 2**32, 2**32 + 1])
     def test_class_id_outside_u32_rejected_before_writing(self, tmp_path, cid):
         # the label blob is u32: -1 would load as 4294967295, 2**32 + 1 as 1
         with pytest.raises(InvalidInputError, match=f"class id {cid} "):
-            save_dataset(self.first_class_renamed(cid), tmp_path / "out" / "ds.json")
+            save_dataset(self.end_class_renamed(cid), tmp_path / "out" / "ds.json")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("cid", [0, 2**32 - 1])
     def test_class_ids_at_the_u32_ends_round_trip(self, tmp_path, cid):
-        ds = self.first_class_renamed(cid)
+        ds = self.end_class_renamed(cid)
         save_dataset(ds, tmp_path / "ds.json")
         assert datasets_equal(ds, load_dataset(tmp_path / "ds.json"))
 
@@ -346,10 +363,10 @@ class TestSynthetic:
     def test_hard_split_is_farther_in_descriptor_space(self):
         # mean over seeds of (unseen -> nearest seen) descriptor distance
         def mean_min_dist(ds):
-            seen = np.array([ds.descriptor_of(int(c)) for c in ds.seen_class_ids])
+            seen = ds.descriptors[ds.seen_mask]
             vals = []
-            for c in ds.unseen_class_ids:
-                d = np.linalg.norm(seen - ds.descriptor_of(int(c)), axis=1)
+            for t in ds.descriptors[~ds.seen_mask]:
+                d = np.linalg.norm(seen - t, axis=1)
                 vals.append(d.min())
             return float(np.mean(vals))
 
@@ -387,6 +404,16 @@ class TestValidate:
 
     def test_empty_matrices_valid(self):
         self.dataset(np.zeros((0, 3)), np.zeros((1, 0))).validate()
+
+    @pytest.mark.parametrize("ids,error", [
+        ([1, 3, 2], "class id 2 follows class id 3: class ids must ascend"),
+        ([2, 1, 3], "class id 1 follows class id 2: class ids must ascend"),
+        ([1, 2, 2], "duplicate class id 2")])
+    def test_class_ids_must_ascend_strictly(self, ids, error):
+        ds = replace(self.dataset(np.zeros((4, 3)), np.zeros((3, 5))),
+                     class_ids=np.array(ids, dtype=np.int64))
+        with pytest.raises(DatasetFormatError, match=error):
+            ds.validate()
 
     def test_restrict_to_shares_no_memory(self):
         ds = make_synthetic(small_config())

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cizsl.data import SyntheticConfig, class_means, make_synthetic
 from cizsl.errors import InvalidInputError
 from cizsl.evaluate import (CENTER_BLOCK_ROWS, ClassCenters, _distances, curve_csv,
-                            curve_svg, harmonic_mean, retrieval_precision,
-                            seen_unseen_curve, synthesize_centers, trapezoid_auc,
-                            zsl_top1)
+                            curve_svg, generalized_curve, harmonic_mean,
+                            retrieval_precision, seen_unseen_curve, synthesize_centers,
+                            trapezoid_auc, unseen_centers, zsl_top1)
 from cizsl.net import Generator, GeneratorArch, Layer, MlpNetwork, build_generator
 from cizsl.numerics import RngStream
 
@@ -28,8 +29,7 @@ class TestSynthesizeCenters:
 
     def test_constant_generator_gives_rectified_bias(self):
         gen = self.constant_generator([1.5, -2.0, 0.5])
-        out = synthesize_centers(gen, {7: np.zeros(4), 3: np.zeros(4)}, 5,
-                                 RngStream(0, 0))
+        out = synthesize_centers(gen, [7, 3], np.zeros((2, 4)), 5, RngStream(0, 0))
         np.testing.assert_array_equal(out.class_ids, [3, 7])
         for row in out.centers:
             np.testing.assert_array_equal(row, [1.5, 0.0, 0.5])
@@ -38,7 +38,7 @@ class TestSynthesizeCenters:
         rng = RngStream(3, 0)
         gen = build_generator(GeneratorArch(text_dim=4, noise_dim=3, output_dim=5), rng)
         t = rng.normal(4)
-        out = synthesize_centers(gen, {1: t}, 1, RngStream(42, 0))
+        out = synthesize_centers(gen, [1], t[None], 1, RngStream(42, 0))
         z = RngStream(42, 0).derive(1).normal((1, 3))
         np.testing.assert_allclose(out.centers[0], gen.forward(t, z[0]), atol=1e-15)
 
@@ -54,7 +54,7 @@ class TestSynthesizeCenters:
             noise_dim=3)
         t = rng.normal(4)
         analytic = gen.forward(t, np.zeros(3))
-        out = synthesize_centers(gen, {2: t}, 10_000, RngStream(5, 0))
+        out = synthesize_centers(gen, [2], t[None], 10_000, RngStream(5, 0))
         sd = np.linalg.norm(w_trunk[:, 3:], axis=1)
         assert np.all(np.abs(out.centers[0] - analytic) < 5.0 * sd / 100.0)
 
@@ -62,8 +62,8 @@ class TestSynthesizeCenters:
         rng = RngStream(9, 0)
         gen = build_generator(GeneratorArch(text_dim=4, noise_dim=2, output_dim=3), rng)
         t1, t2 = rng.normal(4), rng.normal(4)
-        a = synthesize_centers(gen, {1: t1, 2: t2}, 7, RngStream(1, 0))
-        b = synthesize_centers(gen, {2: t2, 1: t1}, 7, RngStream(1, 0))
+        a = synthesize_centers(gen, [1, 2], np.array([t1, t2]), 7, RngStream(1, 0))
+        b = synthesize_centers(gen, [2, 1], np.array([t2, t1]), 7, RngStream(1, 0))
         np.testing.assert_array_equal(a.centers, b.centers)
 
     @staticmethod
@@ -88,7 +88,8 @@ class TestSynthesizeCenters:
         ids = [int(c) for c in rng.permutation(100)[:k] + 1]
         descriptors = {c: rng.normal(10) for c in ids}
         loop = self.per_class_loop(gen, descriptors, n, RngStream(4, 2))
-        out = synthesize_centers(gen, descriptors, n, RngStream(4, 2))
+        out = synthesize_centers(gen, ids, np.array([descriptors[c] for c in ids]), n,
+                                 RngStream(4, 2))
         np.testing.assert_array_equal(out.class_ids, sorted(ids))
         delta = np.max(np.abs(out.centers - loop))
         print(f"K={k} n={n}: max |centers - per-class loop| = {delta:.3g}")
@@ -100,16 +101,19 @@ class TestSynthesizeCenters:
         n = CENTER_BLOCK_ROWS // 3 + 1   # two classes per block
         descriptors = {int(c): rng.normal(5) for c in rng.permutation(9) * 3}
         shuffled = {c: descriptors[c] for c in reversed(list(descriptors))}
-        a = synthesize_centers(gen, descriptors, n, RngStream(6, 0))
-        b = synthesize_centers(gen, shuffled, n, RngStream(6, 0))
+        a = synthesize_centers(gen, list(descriptors), np.array(list(descriptors.values())),
+                               n, RngStream(6, 0))
+        b = synthesize_centers(gen, list(shuffled), np.array(list(shuffled.values())),
+                               n, RngStream(6, 0))
         np.testing.assert_array_equal(a.class_ids, b.class_ids)
         np.testing.assert_array_equal(a.centers, b.centers)
 
     def test_descriptor_of_wrong_dim_rejected(self):
         gen = build_generator(GeneratorArch(text_dim=4, noise_dim=2, output_dim=3),
                               RngStream(0, 0))
-        with pytest.raises(InvalidInputError, match="descriptor of class 5"):
-            synthesize_centers(gen, {1: np.zeros(4), 5: np.zeros(3)}, 2, RngStream(0, 0))
+        with pytest.raises(InvalidInputError, match=r"descriptors have shape \(2, 3\), "
+                           r"expected \(2, 4\)"):
+            synthesize_centers(gen, [1, 5], np.zeros((2, 3)), 2, RngStream(0, 0))
 
     def test_memory_does_not_grow_with_class_count(self):
         # the trunk runs over blocks of at most CENTER_BLOCK_ROWS rows, so
@@ -120,14 +124,14 @@ class TestSynthesizeCenters:
         n, d = 60, 256
         gen = build_generator(GeneratorArch(text_dim=32, noise_dim=16, output_dim=d,
                                             embed_dim=64, hidden_dims=(512,)), rng)
-        descriptors = {c: rng.normal(32) for c in range(400)}
+        descriptors = np.array([rng.normal(32) for c in range(400)])
         peaks = {}
         for k in (40, 400):
-            subset = {c: descriptors[c] for c in range(k)}
-            synthesize_centers(gen, subset, n, RngStream(1, 0))  # first-call imports
+            subset = (np.arange(k), descriptors[:k])
+            synthesize_centers(gen, *subset, n, RngStream(1, 0))  # first-call imports
             tracemalloc.start()
             try:
-                synthesize_centers(gen, subset, n, RngStream(1, 0))
+                synthesize_centers(gen, *subset, n, RngStream(1, 0))
                 peaks[k] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -135,6 +139,37 @@ class TestSynthesizeCenters:
               f"{peaks[400] / 2**20:.2f} MB at 400")
         assert peaks[400] - peaks[40] <= 1.25 * 360 * (d + 64 + 32) * 8
         assert peaks[400] <= 1.5 * peaks[40]
+
+
+class TestGeneralizedCurve:
+    @staticmethod
+    def dataset_and_generator():
+        ds = make_synthetic(SyntheticConfig(n_super=4, classes_per_super=3,
+                                            instances_per_class=6, text_dim=5,
+                                            feature_dim=7, seed=2))
+        gen = build_generator(GeneratorArch(text_dim=5, noise_dim=3, output_dim=7),
+                              RngStream(2, 0))
+        return ds, gen
+
+    @pytest.mark.parametrize("metric", ["l2", "cosine"])
+    def test_seen_means_against_generated_unseen_centers(self, metric):
+        ds, gen = self.dataset_and_generator()
+        curve = generalized_curve(gen, ds, 9, RngStream(4, 0), metric)
+        unseen = synthesize_centers(gen, ds.unseen_class_ids, ds.descriptors[~ds.seen_mask],
+                                    9, RngStream(4, 0))
+        seen = ClassCenters(class_ids=ds.seen_class_ids,
+                            centers=class_means(ds, ds.seen_class_ids))
+        expected = seen_unseen_curve(ds.features, ds.labels, seen, unseen, metric)
+        for name in ("calibrations", "seen_acc", "unseen_acc"):
+            assert np.array_equal(getattr(curve, name), getattr(expected, name))
+        assert (curve.auc, curve.at_zero) == (expected.auc, expected.at_zero)
+
+    def test_dataset_without_unseen_classes_rejected(self):
+        ds, gen = self.dataset_and_generator()
+        ds = ds.with_seen_flags(ds.class_ids)
+        for score in (unseen_centers, generalized_curve):
+            with pytest.raises(InvalidInputError, match="no unseen classes"):
+                score(gen, ds, 5, RngStream(0, 0))
 
 
 class TestClassCenters:

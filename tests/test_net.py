@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cizsl.data
 from cizsl.errors import DatasetFormatError, InvalidInputError, InvalidStateError
 from cizsl.net import (DiscriminatorArch, Discriminator, Generator, GeneratorArch,
                        Layer, MlpNetwork, _act, _act_d, build_discriminator,
@@ -10,6 +11,7 @@ from cizsl.net import (DiscriminatorArch, Discriminator, Generator, GeneratorArc
                        save_checkpoint)
 from cizsl.numerics import (RngStream, adam_init, adam_step, finite_diff_gradient,
                             relative_error)
+from helpers import fail_halfway_through
 
 
 def leaky(z, slope=0.2):
@@ -468,6 +470,20 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(DatasetFormatError, match="tag 3"):
             load_checkpoint(path)
+
+    def test_failed_write_leaves_the_older_checkpoint(self, tmp_path, monkeypatch):
+        # the checkpoint is written as model.czsl.tmp and moved into place
+        path = self.saved(tmp_path)
+        before = path.read_bytes()
+        gen, disc = load_checkpoint(path)
+        gen.set_param_vector(gen.param_vector() + 1.0)
+        monkeypatch.setattr(cizsl.data, "open", fail_halfway_through("model.czsl.tmp"),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(path, gen, disc)
+        monkeypatch.undo()
+        assert [f.name for f in tmp_path.iterdir()] == ["model.czsl"]
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize("edit", ["drop", "append"])
     def test_parameter_bytes_must_match_headers(self, tmp_path, edit):

@@ -8,8 +8,12 @@ directory: `synth` on the base config and on an easy-split, linear variant
 (the manifest and the three blobs), `train` with the default config, with
 `creativity_enabled: false` and with the extra-class ablation under the
 renyi divergence, then `sweep-lambda`, `eval` and `retrieve` on the default
-run's final checkpoint, and `gradcheck --seed 0`. SEED overrides the config seeds of every command
-but gradcheck. Prints one `sha256  artifact` line per output file and per
+run's final checkpoint, `train`, `eval` and `retrieve` on the base synth's
+manifest (the path that reads a dataset from disk), and `gradcheck --seed 0`.
+SEED overrides the config seeds of every command but gradcheck. The
+manifest config names its dataset by a path relative to the temporary
+directory, so its `config.json` snapshot hashes the same from any
+directory. Prints one `sha256  artifact` line per output file and per
 command's stdout, sorted by artifact. Each command writes to its own output
 directory, whose path is replaced by `OUT` before hashing, so neither the
 temporary directory nor the output directory changes a hash. Compare two
@@ -95,6 +99,16 @@ def main(argv: list[str]) -> int:
         _run(work, "sweep-lambda", ["sweep-lambda", *common], lines)
         _run(work, "eval", ["eval", *common, "--checkpoint", checkpoint], lines)
         _run(work, "retrieve", ["retrieve", *common, "--checkpoint", checkpoint], lines)
+        cfg = work / "manifest.json"
+        cfg.write_text(json.dumps({"dataset": "synth-base/dataset.json",
+                                   "train": BASE_CONFIG["train"],
+                                   "eval": BASE_CONFIG["eval"]}))
+        common = ["--config", str(cfg), "--seed", seed]
+        checkpoint = str(work / "manifest-train" / "checkpoint_final.czsl")
+        _run(work, "manifest-train", ["train", *common], lines)
+        _run(work, "manifest-eval", ["eval", *common, "--checkpoint", checkpoint], lines)
+        _run(work, "manifest-retrieve", ["retrieve", *common, "--checkpoint", checkpoint],
+             lines)
         _run(work, "gradcheck", ["gradcheck", "--seed", "0"], lines)
     for artifact in sorted(lines):
         print(f"{lines[artifact]}  {artifact}")
