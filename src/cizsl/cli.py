@@ -21,7 +21,7 @@ from .data import (SyntheticConfig, _write_files, load_dataset, make_synthetic,
                    save_dataset)
 from .errors import (CizslError, DatasetFormatError, InvalidConfigError,
                      InvalidInputError, InvalidSplitError)
-from .evaluate import (curve_csv, curve_svg, generalized_curve, harmonic_mean,
+from .evaluate import (METRICS, curve_csv, curve_svg, generalized_curve, harmonic_mean,
                        retrieval_precision, unseen_centers, valid_retrieval_ratio)
 from .gradcheck import run_gradient_contract
 from .net import load_checkpoint, save_checkpoint
@@ -57,7 +57,7 @@ class EvalOptions:
     def validate(self) -> "EvalOptions":
         if self.samples_per_center < 1:
             raise InvalidConfigError("eval.samples_per_center must be >= 1")
-        if self.metric not in ("l2", "cosine"):
+        if self.metric not in METRICS:
             raise InvalidConfigError(f"eval.metric must be l2 or cosine, got {self.metric!r}")
         ratios = self.retrieval_ratios
         if not (isinstance(ratios, (tuple, list)) and ratios

@@ -28,7 +28,7 @@ parameters can cross the strip without blowing up.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,19 +52,17 @@ GUARD_EPS = 1e-3
 
 @dataclass(frozen=True)
 class DivergenceParams:
-    """Selects a member of the family and which parameters are learnable.
+    """A member of the family: a mode and a point (gamma, beta).
 
     Construction pins what the mode does not leave free (see the module
     docstring), and `dataclasses.replace` re-runs it, so every copy keeps
-    the pins. Requesting a pinned parameter as learnable is a configuration
-    error.
+    the pins. Which parameters training learns is the training config's
+    choice (`TrainConfig.learn_gamma`, `learn_beta`).
     """
 
     mode: str = "sharma-mittal"
     gamma: float = 2.0
     beta: float = 0.5
-    learn_gamma: bool = False
-    learn_beta: bool = False
 
     def __post_init__(self):
         gamma, beta = {"kl": (1.0, 1.0), "bhattacharyya": (0.5, 1.0),
@@ -85,43 +83,7 @@ class DivergenceParams:
                 f"unknown divergence mode {self.mode!r}; expected one of {MODES}")
         if not self.gamma > 0:
             raise InvalidConfigError(f"gamma must be positive, got {self.gamma}")
-        for name, learn in (("gamma", self.learn_gamma), ("beta", self.learn_beta)):
-            if learn and name not in self.free:
-                raise InvalidConfigError(
-                    f"mode {self.mode!r} pins {name}; it cannot be learnable")
         return self
-
-    # -- unconstrained parameterization used by the optimizer ---------------
-    # gamma is stored as exp(u) so gradient steps cannot leave gamma > 0.
-
-    def learnable_vector(self) -> np.ndarray:
-        u = []
-        if self.learn_gamma:
-            u.append(np.log(self.gamma))
-        if self.learn_beta:
-            u.append(self.beta)
-        return np.array(u, dtype=np.float64)
-
-    def with_learnable_vector(self, u: np.ndarray) -> "DivergenceParams":
-        """Copy with the learnable parameters read from `u`."""
-        u = np.asarray(u, dtype=np.float64)
-        out = self
-        i = 0
-        if self.learn_gamma:
-            out = replace(out, gamma=float(np.exp(u[i])))
-            i += 1
-        if self.learn_beta:
-            out = replace(out, beta=float(u[i]))
-        return out
-
-    def learnable_gradient(self, d_gamma: float, d_beta: float) -> np.ndarray:
-        """Chain (d/dgamma, d/dbeta) through the unconstrained storage."""
-        g = []
-        if self.learn_gamma:
-            g.append(d_gamma * self.gamma)
-        if self.learn_beta:
-            g.append(d_beta)
-        return np.array(g, dtype=np.float64)
 
 
 def _sm_batch(p: np.ndarray, q: np.ndarray, params: DivergenceParams):

@@ -165,8 +165,9 @@ def generator_loss(gen: Generator, disc: Discriminator, t_s: np.ndarray,
     G and D as one stack, with one backward pass of row-sliced adjoints.
     `centers_by_class[k]` is the real feature mean of seen class k; `y_s`
     holds 0-based class indices. With `creativity_enabled=False` the
-    hallucinated rows and the creativity term are dropped entirely (the
-    non-creative baseline).
+    hallucinated rows get weight 0 (the non-creative baseline): no realness
+    adjoint and lambda 0, so the creativity part, its logits adjoint, the
+    (gamma, beta) gradient and the mean entropy are all 0.
 
     `gen` and `disc` hold B models (B = 1 for a single model): every row and
     label array carries a leading model axis of length B, and `lam`,
@@ -178,13 +179,11 @@ def generator_loss(gen: Generator, disc: Discriminator, t_s: np.ndarray,
     _check_labels(y_s, k_cls)
     if norm_bounds is None:
         norm_bounds = [None] * len(lam)
-    t, z = t_s, z_s
     m = y_s.shape[1]
-    if creativity_enabled:
-        t = np.concatenate([t_s, t_h], axis=1)
-        z = np.concatenate([z_s, z_h], axis=1)
+    w_h = float(creativity_enabled)  # the hallucinated rows' weight
 
-    x, g_cache = gen.forward_cached(t, z)
+    x, g_cache = gen.forward_cached(np.concatenate([t_s, t_h], axis=1),
+                                    np.concatenate([z_s, z_h], axis=1))
     (real, logits), d_cache = disc.forward_cached(x)
     d_real = np.full(real.shape, -1.0 / m)
     d_logits = np.empty_like(logits)
@@ -197,22 +196,18 @@ def generator_loss(gen: Generator, disc: Discriminator, t_s: np.ndarray,
     realness = -real[:, :m].sum(axis=-1) / m
     pivot, d_x_pivot = visual_pivot(x[:, :m], y_s, centers_by_class)
 
-    value = realness + cls_term + pivot
-    n_models = real.shape[0]
-    grad_div = np.zeros((n_models, 2))
-    mean_entropy = np.zeros(n_models)
-    creativity = np.zeros(n_models)
-    if creativity_enabled:
-        n_h = real.shape[1] - m
-        term = np.empty(n_models)
-        # per model: lambda, (gamma, beta) and the batch min-max are its own
-        for b in range(n_models):
-            term[b], d_logits[b, m:], grad_div[b], mean_entropy[b] = creativity_loss(
-                logits[b, m:], lam[b], div_params[b], norm_bounds=norm_bounds[b],
-                extra_class=extra_class)
-        d_real[:, m:] = -1.0 / n_h
-        creativity = -real[:, m:].sum(axis=-1) / n_h + term
-        value = value + creativity
+    n_models, n_rows = real.shape
+    n_h = n_rows - m
+    grad_div = np.empty((n_models, 2))
+    mean_entropy, term = np.empty(n_models), np.empty(n_models)
+    # per model: lambda, (gamma, beta) and the batch min-max are its own
+    for b in range(n_models):
+        term[b], d_logits[b, m:], grad_div[b], mean_entropy[b] = creativity_loss(
+            logits[b, m:], w_h * lam[b], div_params[b], norm_bounds=norm_bounds[b],
+            extra_class=extra_class)
+    d_real[:, m:] = -w_h / n_h
+    creativity = -w_h * real[:, m:].sum(axis=-1) / n_h + term
+    value = realness + cls_term + pivot + creativity
     parts = {"seen_realness": realness, "seen_classification": cls_term,
              "visual_pivot": pivot, "creativity": creativity,
              "mean_entropy": mean_entropy}

@@ -51,9 +51,9 @@ class TrainConfig:
     eval_interval: int = 100
 
     def validate(self) -> "TrainConfig":
-        if not self.lambda_creativity >= 0:
+        if not 0 <= self.lambda_creativity < np.inf:
             raise InvalidConfigError(
-                f"lambda_creativity must be >= 0, got {self.lambda_creativity}")
+                f"lambda_creativity must be finite and >= 0, got {self.lambda_creativity}")
         if not self.learning_rate > 0:
             raise InvalidConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         for name in ("adam_beta1", "adam_beta2"):
@@ -74,13 +74,16 @@ class TrainConfig:
             raise InvalidConfigError(f"eval_interval must be >= 1, got {self.eval_interval}")
         if self.noise_dim < 1 or self.text_embed_dim < 1 or self.hidden_dim < 1:
             raise InvalidConfigError("network dims must be >= 1")
-        self.divergence().validate()
+        free = self.divergence().validate().free
+        for name, learn in (("gamma", self.learn_gamma), ("beta", self.learn_beta)):
+            if learn and name not in free:
+                raise InvalidConfigError(
+                    f"mode {self.divergence_mode!r} pins {name}; it cannot be learnable")
         return self
 
     def divergence(self) -> DivergenceParams:
         return DivergenceParams(mode=self.divergence_mode, gamma=self.gamma_init,
-                                beta=self.beta_init,
-                                learn_gamma=self.learn_gamma, learn_beta=self.learn_beta)
+                                beta=self.beta_init)
 
 
 @dataclass
@@ -202,13 +205,18 @@ def train_lockstep(dataset: ZslDataset, configs, snapshot_fns=None) -> list[Trai
     opt = dict(lr=config.learning_rate, beta1=config.adam_beta1, beta2=config.adam_beta2)
     state_g = adam_init(gen.params.shape, **opt)
     state_d = adam_init(disc.params.shape, **opt)
-    u = np.array([d.learnable_vector() for d in divs])
-    state_e = adam_init(u.shape, **opt)
+    # every model's (log gamma, beta) in one (B, 2) table, which Adam steps
+    # whole; log gamma keeps gamma > 0 under any step, and an entry a model
+    # does not learn gets a zero gradient and stays exactly in place, as
+    # Adam is elementwise
+    table = np.array([[np.log(d.gamma), d.beta] for d in divs])
+    learn = np.array([[c.learn_gamma, c.learn_beta] for c in configs])
+    learn &= config.creativity_enabled
+    state_e = adam_init(table.shape, **opt)
 
     # every model's history: a (B, n_steps) array per TrainingHistory field
     # after `iteration`, in field order, written one column per iteration
     hist = np.empty((6, len(configs), config.n_steps))
-    use_creativity = config.creativity_enabled
     extra = config.extra_class_for_hallucinated
     d_values = np.empty((len(configs), n_critic))
     gaps = np.empty((len(configs), n_critic))
@@ -238,16 +246,20 @@ def train_lockstep(dataset: ZslDataset, configs, snapshot_fns=None) -> list[Trai
                 gaps[:, k] = res.parts["wasserstein_gap"]
 
             res_g = generator_loss(gen, disc, seen_desc[y_g], y_g, z_g, t_h, z_h,
-                                   lams, divs, centers, creativity_enabled=use_creativity,
+                                   lams, divs, centers,
+                                   creativity_enabled=config.creativity_enabled,
                                    extra_class=extra)
             adam_step(gen.params, res_g.grad_gen, state_g)
             gen.params_changed()
 
-            if u.shape[1] and use_creativity:
-                grad_u = np.array([d.learnable_gradient(*g)
-                                   for d, g in zip(divs, res_g.grad_divergence)])
-                adam_step(u, grad_u, state_e)
-                divs = [d.with_learnable_vector(row) for d, row in zip(divs, u)]
+            # d/d(log gamma) = gamma d/dgamma
+            grad_e = res_g.grad_divergence * [[d.gamma, 1.0] for d in divs]
+            adam_step(table, np.where(learn, grad_e, 0.0), state_e)
+            # only learned entries are read back
+            for b in np.flatnonzero(learn[:, 0]):
+                divs[b] = replace(divs[b], gamma=float(np.exp(table[b, 0])))
+            for b in np.flatnonzero(learn[:, 1]):
+                divs[b] = replace(divs[b], beta=float(table[b, 1]))
         except (InvalidInputError, FloatingPointError, OverflowError) as e:
             # all loop inputs are machine-generated, so a rejected value here
             # (a non-finite logit) means the optimization blew up numerically

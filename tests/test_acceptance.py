@@ -10,19 +10,17 @@ import time
 import numpy as np
 import pytest
 
-from cizsl.data import (SyntheticConfig, load_dataset, make_synthetic,
-                        save_dataset, class_means)
+from cizsl.data import SyntheticConfig, load_dataset, make_synthetic, save_dataset
 from cizsl.divergence import DivergenceParams, sm_divergence
 from cizsl.errors import DatasetFormatError
 from cizsl.evaluate import (ClassCenters, harmonic_mean, retrieval_precision,
-                            seen_unseen_curve, synthesize_centers, trapezoid_auc,
-                            zsl_top1)
+                            trapezoid_auc, zsl_top1)
 from cizsl.gradcheck import run_gradient_contract
 from cizsl.losses import interpolate_texts, sample_alpha
 from cizsl.net import (DiscriminatorArch, GeneratorArch, build_discriminator,
                        build_generator, load_checkpoint, save_checkpoint)
-from cizsl.numerics import RngStream, STREAM_EVAL
-from cizsl.train import TrainConfig, cross_validate_lambda, train
+from cizsl.numerics import RngStream
+from cizsl.train import TrainConfig, cross_validate_lambda, train, validation_auc
 from helpers import datasets_equal
 
 KL = DivergenceParams(mode="kl", gamma=1.0, beta=1.0)
@@ -151,16 +149,6 @@ def test_criterion_3_metric_oracles():
     assert ok
 
 
-def _benchmark_auc(model, ds, seed):
-    seen_ids = np.sort(ds.seen_class_ids)
-    seen_centers = ClassCenters(class_ids=seen_ids,
-                                centers=class_means(ds, seen_ids))
-    unseen = synthesize_centers(model.generator, ds.unseen_class_ids,
-                                ds.descriptors[~ds.seen_mask], 30,
-                                RngStream(seed, STREAM_EVAL))
-    return seen_unseen_curve(ds.features, ds.labels, seen_centers, unseen).auc
-
-
 @pytest.mark.slow
 def test_criterion_4_ablation_direction():
     """Creativity-regularized training beats the non-creative baseline on the
@@ -183,8 +171,8 @@ def test_criterion_4_ablation_direction():
             best_lam, _ = cross_validate_lambda(ds, cfg, grid)
             full = train(ds, dataclasses.replace(cfg, lambda_creativity=best_lam))
             base = train(ds, dataclasses.replace(cfg, creativity_enabled=False))
-            rows.append((_benchmark_auc(full, ds, seed),
-                         _benchmark_auc(base, ds, seed)))
+            rows.append((validation_auc(full.generator, ds, seed=seed),
+                         validation_auc(base.generator, ds, seed=seed)))
         results[split] = rows
 
     hard, easy = results["hard"], results["easy"]

@@ -172,6 +172,21 @@ class TestTrainCommand:
         assert key in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("mode,learn,name", [
+        ("kl", {"learn_beta": False}, "gamma"),
+        ("bhattacharyya", {"learn_gamma": False}, "beta"),
+        ("renyi", {}, "beta"),
+        ("tsallis", {}, "beta"),
+    ], ids=["kl", "bhattacharyya", "renyi", "tsallis"])
+    def test_learning_a_pinned_parameter_exits_1(self, tmp_path, capsys, mode, learn, name):
+        cfg = write_config(tmp_path / "cfg.json",
+                           train={"divergence_mode": mode, "learn_gamma": True,
+                                  "learn_beta": True, **learn})
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg))
+        assert code == 1
+        assert f"mode {mode!r} pins {name}; it cannot be learnable" in err
+        assert not (tmp_path / "run").exists()
+
     def test_int_accepted_for_float_and_list_for_tuple(self, tmp_path):
         cfg = load_experiment_config(write_config(
             tmp_path / "cfg.json", train={"learning_rate": 1},

@@ -8,8 +8,7 @@ from cizsl.divergence import (MODES, DivergenceParams, batch_minmax_normalize,
                               entropy_loss_batch, minmax_bounds,
                               minmax_gradient_scale, sm_divergence,
                               sm_divergence_grads)
-from cizsl.errors import (DivergenceUndefinedError, InvalidConfigError,
-                          InvalidInputError)
+from cizsl.errors import DivergenceUndefinedError, InvalidInputError
 from cizsl.numerics import RngStream, finite_diff_gradient, relative_error
 
 KL = DivergenceParams(mode="kl", gamma=1.0, beta=1.0)
@@ -64,19 +63,9 @@ class TestValues:
         with pytest.raises(InvalidInputError):
             sm_divergence([0.5, 0.5], [0.2, 0.3, 0.5], KL)
 
-    def test_learnable_flags_rejected_on_pinned_modes(self):
-        with pytest.raises(InvalidConfigError):
-            DivergenceParams(mode="kl", learn_gamma=True).validate()
-        with pytest.raises(InvalidConfigError):
-            DivergenceParams(mode="renyi", gamma=2.0, learn_beta=True).validate()
-        with pytest.raises(InvalidConfigError):
-            DivergenceParams(mode="bhattacharyya", learn_beta=True).validate()
-
-    def test_tsallis_learnable_vector_keeps_beta_tied(self):
-        ts = DivergenceParams(mode="tsallis", gamma=1.6, beta=1.6, learn_gamma=True)
-        moved = ts.with_learnable_vector(np.array([np.log(2.5)]))
-        assert moved.gamma == pytest.approx(2.5)
-        assert moved.beta == moved.gamma
+    def test_replace_keeps_tsallis_beta_tied(self):
+        ts = DivergenceParams(mode="tsallis", gamma=1.6, beta=1.6)
+        assert replace(ts, gamma=2.5).beta == 2.5
 
 
 class TestInputShape:

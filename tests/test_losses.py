@@ -214,6 +214,24 @@ class TestGeneratorLoss:
         assert res.value[0] == pytest.approx(manual, abs=1e-12)
         assert res.parts["creativity"][0] == 0.0
 
+    def test_baseline_ignores_its_hallucinated_rows_bit_for_bit(self):
+        # weight 0 on the hallucinated rows: their adjoints are 0, and zeros
+        # add only +-0 to sums of the same shape
+        gen, disc = tiny_models()
+        t_s, y_s, z_s, t_h, z_h, centers = self.batch()
+        rng = RngStream(9, 2)
+        a, b = (generator_loss(gen, disc, t_s, y_s, z_s, th, zh, [2.0], [SM], centers,
+                               creativity_enabled=False)
+                for th, zh in ((t_h, z_h), (rng.normal(t_h.shape), rng.normal(z_h.shape))))
+        np.testing.assert_array_equal(a.value, b.value)
+        np.testing.assert_array_equal(a.grad_gen, b.grad_gen)
+        assert a.parts.keys() == b.parts.keys()
+        for name in a.parts:
+            np.testing.assert_array_equal(a.parts[name], b.parts[name], err_msg=name)
+        for res in (a, b):
+            assert np.all(res.grad_divergence == 0.0)
+            assert np.all(res.parts["mean_entropy"] == 0.0)
+
     def test_perfect_classifier_contributes_zero_classification_term(self):
         # rig the class head to constant logits (+1e3 on class 0, -1e3
         # elsewhere) and label every row 0: log softmax of the label is 0

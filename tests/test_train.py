@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cizsl.data import SyntheticConfig, make_synthetic
+from cizsl.divergence import MODES
 from cizsl.errors import (InvalidConfigError, InvalidSplitError, InvalidStateError,
                           TrainingDivergedError)
 from cizsl.net import Generator, MlpNetwork, save_checkpoint
@@ -40,6 +41,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("kw", [
         {"lambda_creativity": -1.0},
+        {"lambda_creativity": float("inf"), "creativity_enabled": False},
         {"n_critic": 0},
         {"batch_size": 1},
         {"alpha_mode": "bogus"},
@@ -113,6 +115,37 @@ class TestTrain:
         model = train(ds, tiny_config(n_steps=20, divergence_mode="tsallis",
                                       gamma_init=1.6, learn_beta=False))
         assert model.divergence.beta == model.divergence.gamma
+
+    # per case: config overrides and the expected gamma and beta columns,
+    # each a constant, "learned" (moves every step) or "tied" (equals gamma)
+    TABLE_CASES = {
+        "sharma-mittal": ({}, "learned", "learned"),
+        "renyi": ({"learn_beta": False}, "learned", 1.0),
+        "tsallis": ({"learn_beta": False}, "learned", "tied"),
+        "kl": ({"learn_gamma": False, "learn_beta": False}, 1.0, 1.0),
+        "bhattacharyya": ({"learn_gamma": False, "learn_beta": False}, 0.5, 1.0),
+        "sharma-mittal-fixed-gamma": ({"learn_gamma": False}, 2.95, "learned"),
+        "sharma-mittal-fixed-beta": ({"learn_beta": False}, "learned", 0.3),
+        "baseline": ({"creativity_enabled": False}, 2.95, 0.3),
+    }
+
+    @pytest.mark.parametrize("case", [*MODES, "sharma-mittal-fixed-gamma",
+                                      "sharma-mittal-fixed-beta", "baseline"])
+    def test_every_model_learns_only_its_free_entries(self, case):
+        # the loop's (B, 2) table: pins hold in every history row, an entry
+        # the config does not learn stays at its init, a learned one moves;
+        # exp(log(2.95)) != 2.95, so a fixed gamma read back from the table shows
+        kw, gamma, beta = self.TABLE_CASES[case]
+        mode = {"divergence_mode": case} if case in MODES else {}
+        h = train(tiny_dataset(), tiny_config(n_steps=15, gamma_init=2.95, beta_init=0.3,
+                                              **mode, **kw)).history
+        for column, want in ((h.gamma, gamma), (h.beta, beta)):
+            if want == "learned":
+                assert np.all(column[1:] != column[:-1])
+            elif want == "tied":
+                np.testing.assert_array_equal(column, h.gamma)
+            else:
+                np.testing.assert_array_equal(column, np.full(15, want))
 
     def test_snapshot_hook_cadence(self):
         ds = tiny_dataset()

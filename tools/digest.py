@@ -6,10 +6,12 @@ refactor leaves the program's outputs byte-identical.
 Runs `python -m cizsl.cli` from this checkout's `src/` in a temporary
 directory: `synth` on the base config and on an easy-split, linear variant
 (the manifest and the three blobs), `train` with the default config, with
-`creativity_enabled: false` and with the extra-class ablation under the
-renyi divergence, then `sweep-lambda`, `eval` and `retrieve` on the default
-run's final checkpoint, `train`, `eval` and `retrieve` on the base synth's
-manifest (the path that reads a dataset from disk), and `gradcheck --seed 0`.
+`creativity_enabled: false`, with the extra-class ablation under the renyi
+divergence, under kl (nothing learned) and under tsallis (gamma learned,
+beta tied to it), then `sweep-lambda`, `eval` and `retrieve` on the
+default run's final checkpoint, `train`, `eval` and `retrieve` on the base
+synth's manifest (the path that reads a dataset from disk), and
+`gradcheck --seed 0`.
 SEED overrides the config seeds of every command but gradcheck. The
 manifest config names its dataset by a path relative to the temporary
 directory, so its `config.json` snapshot hashes the same from any
@@ -48,6 +50,8 @@ TRAIN_VARIANTS = {
     "train-no-creativity": {"creativity_enabled": False},
     "train-extra-renyi": {"extra_class_for_hallucinated": True,
                           "divergence_mode": "renyi", "learn_beta": False},
+    "train-kl": {"divergence_mode": "kl", "learn_gamma": False, "learn_beta": False},
+    "train-tsallis": {"divergence_mode": "tsallis", "learn_beta": False},
 }
 
 
