@@ -7,9 +7,8 @@ from .evaluate import (ClassCenters, SeenUnseenCurve, harmonic_mean,
                        retrieval_precision, seen_unseen_curve, synthesize_centers,
                        zsl_top1)
 from .losses import creativity_loss, discriminator_loss, generator_loss
-from .net import (Discriminator, DiscriminatorArch, Generator, GeneratorArch,
-                  MlpNetwork, build_discriminator, build_generator,
-                  load_checkpoint, save_checkpoint)
+from .net import (Discriminator, Generator, MlpNetwork, build_discriminator,
+                  build_generator, load_checkpoint, save_checkpoint)
 from .numerics import AdamState, RngStream, adam_init, adam_step, finite_diff_gradient, softmax
 from .train import TrainConfig, TrainedModel, cross_validate_lambda, train, train_lockstep
 

@@ -25,7 +25,6 @@ from .evaluate import (METRICS, curve_csv, curve_svg, generalized_curve, harmoni
                        retrieval_precision, unseen_centers, valid_retrieval_ratio)
 from .gradcheck import run_gradient_contract
 from .net import load_checkpoint, save_checkpoint
-from .numerics import RngStream, STREAM_EVAL
 from .train import TrainConfig, cross_validate_lambda, train
 
 # exit 1; every other package error, and numpy's FloatingPointError, exits 2
@@ -210,8 +209,8 @@ def _load_eval_inputs(args):
 
 def cmd_eval(args) -> int:
     cfg, dataset, gen, _ = _load_eval_inputs(args)
-    curve = generalized_curve(gen, dataset, cfg.eval.samples_per_center,
-                              RngStream(cfg.train.seed, STREAM_EVAL), cfg.eval.metric)
+    curve = generalized_curve(gen, dataset, cfg.eval.samples_per_center, cfg.train.seed,
+                              cfg.eval.metric)
     # the +inf anchor predicts every row unseen: zero-shot top-1
     top1 = float(curve.unseen_acc[-1])
     h = harmonic_mean(*curve.at_zero)
@@ -232,8 +231,7 @@ def cmd_retrieve(args) -> int:
     if args.ratios:
         ratios = tuple(_float_list(args.ratios, "--ratios"))
         dataclasses.replace(cfg.eval, retrieval_ratios=ratios).validate()
-    centers = unseen_centers(gen, dataset, cfg.eval.samples_per_center,
-                             RngStream(cfg.train.seed, STREAM_EVAL))
+    centers = unseen_centers(gen, dataset, cfg.eval.samples_per_center, cfg.train.seed)
     precisions = retrieval_precision(dataset.features, dataset.labels, centers,
                                      ratios=ratios, metric=cfg.eval.metric)
     for ratio in ratios:

@@ -122,10 +122,6 @@ class ZslDataset:
             seen_mask=self.seen_mask[cls_sel],
         ).validate()
 
-    def with_seen_flags(self, seen_ids) -> "ZslDataset":
-        """Same data with the seen flag true exactly for the listed classes."""
-        return replace(self, seen_mask=np.isin(self.class_ids, seen_ids)).validate()
-
 
 def _all_finite(a: np.ndarray) -> bool:
     """No NaN or infinity in `a`: min and max propagate NaN and reach any
@@ -446,4 +442,6 @@ def split_train_val(dataset: ZslDataset, ratio: float = 0.8,
         raise InvalidSplitError(f"ratio {ratio} leaves 0 training classes")
     perm = RngStream(seed, 102).permutation(seen_ids.size)
     train_ids = seen_ids[perm[:n_train]]
-    return dataset.restrict_to(seen_ids).with_seen_flags(train_ids)
+    # the flags change before the restriction, which validates the result once
+    flagged = replace(dataset, seen_mask=np.isin(dataset.class_ids, train_ids))
+    return flagged.restrict_to(seen_ids)

@@ -19,7 +19,7 @@ import numpy as np
 from .data import ZslDataset, class_means
 from .errors import InvalidInputError
 from .net import Generator
-from .numerics import RngStream
+from .numerics import STREAM_EVAL, RngStream
 
 METRICS = ("l2", "cosine")
 
@@ -34,9 +34,9 @@ class ClassCenters:
     def __post_init__(self):
         ids = np.asarray(self.class_ids, dtype=np.int64)
         centers = np.asarray(self.centers, dtype=np.float64)
-        if centers.shape[0] != ids.shape[0]:
-            raise InvalidInputError(f"one center required per class id, got {ids.shape[0]} "
-                                    f"ids and {centers.shape[0]} centers")
+        if centers.ndim != 2 or centers.shape[0] != ids.shape[0]:
+            raise InvalidInputError(f"one center required per class id, as a (K, D) matrix: "
+                                    f"got {ids.shape[0]} ids and shape {centers.shape}")
         order = np.argsort(ids)
         self.class_ids, self.centers = ids[order], centers[order]
         if not np.all(np.isfinite(self.centers)):
@@ -80,36 +80,46 @@ def synthesize_centers(gen: Generator, class_ids, descriptors: np.ndarray,
     return ClassCenters(class_ids=ids, centers=centers)
 
 
-def unseen_centers(gen: Generator, dataset: ZslDataset, n: int,
-                   rng: RngStream) -> ClassCenters:
-    """Centers generated from the descriptors of the dataset's unseen classes."""
+def unseen_centers(gen: Generator, dataset: ZslDataset, n: int, seed: int) -> ClassCenters:
+    """Centers generated from the descriptors of the dataset's unseen
+    classes, n samples each, drawn from the evaluation stream of `seed`."""
     unseen = ~dataset.seen_mask
     if not unseen.any():
         raise InvalidInputError("dataset has no unseen classes to evaluate")
-    return synthesize_centers(gen, dataset.class_ids[unseen],
-                              dataset.descriptors[unseen], n, rng)
+    return synthesize_centers(gen, dataset.class_ids[unseen], dataset.descriptors[unseen],
+                              n, RngStream(seed, STREAM_EVAL))
 
 
-def generalized_curve(gen: Generator, dataset: ZslDataset, n: int, rng: RngStream,
+def generalized_curve(gen: Generator, dataset: ZslDataset, n: int, seed: int,
                       metric: str = "l2") -> SeenUnseenCurve:
     """The generalized zero-shot score of `gen` on every row of `dataset`:
     generated unseen centers (`unseen_centers`), the seen classes' real
     feature means, and the seen/unseen curve between them."""
-    unseen = unseen_centers(gen, dataset, n, rng)
+    unseen = unseen_centers(gen, dataset, n, seed)
     seen_ids = dataset.seen_class_ids
     seen = ClassCenters(class_ids=seen_ids, centers=class_means(dataset, seen_ids))
-    return seen_unseen_curve(dataset.features, dataset.labels, seen, unseen,
-                             metric=metric)
+    return seen_unseen_curve(dataset.features, dataset.labels, seen, unseen, metric)
 
 
-def _distances(features: np.ndarray, centers: np.ndarray, metric: str) -> np.ndarray:
+def _rows_and_norms(features, *centers: ClassCenters):
+    """Features as an (N, D) float64 matrix, checked against the width of
+    each of `centers`, and their squared row norms for every distance block."""
+    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    for c in centers:
+        if c.centers.shape[1] != features.shape[1]:
+            raise InvalidInputError(f"centers have width {c.centers.shape[1]}, "
+                                    f"features have width {features.shape[1]}")
+    return features, np.einsum("ij,ij->i", features, features)
+
+
+def _distances(features: np.ndarray, f_sq: np.ndarray, centers: np.ndarray,
+               metric: str) -> np.ndarray:
     """N x K distances from one product `features @ centers.T` updated in place,
-    so memory is output-sized. l2 uses ||x||^2 - 2 x.c + ||c||^2: squared
-    distances within a few eps * (||x||^2 + ||c||^2) of the direct sum."""
+    so memory is output-sized; `f_sq` is the features' squared row norms. l2 uses
+    ||x||^2 - 2 x.c + ||c||^2: within a few eps * (||x||^2 + ||c||^2) of the direct sum."""
     if metric not in METRICS:
         raise InvalidInputError(f"unknown metric {metric!r}; expected one of {METRICS}")
     out = features @ centers.T
-    f_sq = np.einsum("ij,ij->i", features, features)
     c_sq = np.einsum("ij,ij->i", centers, centers)
     if metric == "l2":
         out *= -2.0
@@ -122,10 +132,10 @@ def _distances(features: np.ndarray, centers: np.ndarray, metric: str) -> np.nda
     return np.subtract(1.0, out, out=out)
 
 
-def _nearest(features: np.ndarray, centers: np.ndarray, metric: str):
+def _nearest(features: np.ndarray, f_sq: np.ndarray, centers: np.ndarray, metric: str):
     """Each row's nearest center (ties to the smaller index) and its distance,
     from one pass over a contiguous distance block that is freed on return."""
-    d = _distances(features, centers, metric)
+    d = _distances(features, f_sq, centers, metric)
     nearest = d.argmin(axis=1)
     return nearest, np.take_along_axis(d, nearest[:, None], axis=1)[:, 0]
 
@@ -150,14 +160,14 @@ def _macro_accuracy(hit_counts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def zsl_top1(features: np.ndarray, labels: np.ndarray, centers: ClassCenters,
              metric: str = "l2") -> float:
     """Macro top-1 accuracy of nearest-center prediction."""
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    features, f_sq = _rows_and_norms(features, centers)
     labels = np.asarray(labels)
     if features.shape[0] == 0:
         raise InvalidInputError("empty test set")
     missing = set(int(l) for l in np.unique(labels)) - set(int(c) for c in centers.class_ids)
     if missing:
         raise InvalidInputError(f"test labels without centers: {sorted(missing)}")
-    d = _distances(features, centers.centers, metric)
+    d = _distances(features, f_sq, centers.centers, metric)
     hits = centers.class_ids[np.argmin(d, axis=1)] == labels
     _, positions = np.unique(labels, return_inverse=True)
     return float(_macro_accuracy(np.bincount(positions, weights=hits), np.bincount(positions)))
@@ -206,7 +216,7 @@ def seen_unseen_curve(features: np.ndarray, labels: np.ndarray,
     order does not matter; memory beyond the larger distance block is
     O(N + vertices * classes). Rows of neither population are ignored.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    features, f_sq = _rows_and_norms(features, seen_centers, unseen_centers)
     labels = np.asarray(labels)
     seen_ids, unseen_ids = seen_centers.class_ids, unseen_centers.class_ids
     n_seen = seen_ids.size
@@ -222,8 +232,8 @@ def seen_unseen_curve(features: np.ndarray, labels: np.ndarray,
     col = np.where(is_seen, seen_pos, n_seen + unseen_pos)
     n_cols = n_seen + unseen_ids.size + 1
 
-    seen_nearest, d_s = _nearest(features, seen_centers.centers, metric)
-    unseen_nearest, d_u = _nearest(features, unseen_centers.centers, metric)
+    seen_nearest, d_s = _nearest(features, f_sq, seen_centers.centers, metric)
+    unseen_nearest, d_u = _nearest(features, f_sq, unseen_centers.centers, metric)
     seen_hit = seen_ids[seen_nearest] == labels
     unseen_hit = unseen_ids[unseen_nearest] == labels
     thresholds, group = np.unique(d_u - d_s, return_inverse=True)
@@ -285,12 +295,12 @@ def retrieval_precision(features: np.ndarray, labels: np.ndarray,
         if not valid_retrieval_ratio(ratio):
             raise InvalidInputError(
                 f"eval.retrieval_ratios must be finite and > 0, got {ratio!r}")
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    features, f_sq = _rows_and_norms(features, unseen_centers)
     labels = np.asarray(labels)
     class_ids = unseen_centers.class_ids
     positions = _class_positions(labels, class_ids)
     counts = np.bincount(positions, minlength=class_ids.size + 1)
-    d = _distances(features, unseen_centers.centers, metric).T
+    d = _distances(features, f_sq, unseen_centers.centers, metric).T
     precisions = {float(ratio): [] for ratio in ratios}
     for j, cid in enumerate(class_ids):
         n_c = int(counts[j])
@@ -328,8 +338,9 @@ def curve_csv(curve: SeenUnseenCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def curve_svg(curve: SeenUnseenCurve, width: int = 480, height: int = 480) -> str:
-    """Plain-text SVG line plot of seen accuracy (y) over unseen accuracy (x)."""
+def curve_svg(curve: SeenUnseenCurve) -> str:
+    """Plain-text 480 x 480 SVG plot of seen accuracy (y) over unseen accuracy (x)."""
+    width = height = 480
     pad = 40.0
     w, h = width - 2 * pad, height - 2 * pad
     pts = " ".join(f"{pad + u * w:.2f},{pad + (1.0 - s) * h:.2f}"

@@ -17,8 +17,7 @@ import numpy as np
 from .divergence import (MODES, DivergenceParams, entropy_loss_batch, minmax_bounds,
                          sm_divergence, sm_divergence_grads)
 from .losses import creativity_loss, discriminator_loss, generator_loss, visual_pivot
-from .net import (DiscriminatorArch, GeneratorArch, build_discriminator,
-                  build_generator, gradient_penalty)
+from .net import build_discriminator, build_generator, gradient_penalty
 from .numerics import RngStream, finite_diff_gradient, relative_error, softmax
 
 TOL_DEFAULT = 1e-4
@@ -57,11 +56,8 @@ def _rand_simplex(rng: RngStream, k: int) -> np.ndarray:
 
 def _tiny_models(rng: RngStream, k_cls: int):
     t_dim, z_dim, x_dim = 4, 3, 5
-    gen = build_generator(GeneratorArch(text_dim=t_dim, noise_dim=z_dim,
-                                        output_dim=x_dim, embed_dim=4,
-                                        hidden_dims=(6,)), rng)
-    disc = build_discriminator(DiscriminatorArch(input_dim=x_dim, n_classes=k_cls,
-                                                 hidden_dims=(6,)), rng)
+    gen = build_generator(rng, t_dim, z_dim, x_dim, embed_dim=4, hidden_dims=(6,))
+    disc = build_discriminator(rng, x_dim, k_cls, hidden_dims=(6,))
     # move to a generic parameter point (random biases included): with the
     # builders' zero biases, an all-dead generated row would park every
     # hidden pre-activation exactly on the leaky-relu kink, where central

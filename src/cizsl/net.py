@@ -309,21 +309,6 @@ def glorot_layer(rng: RngStream, in_dim: int, out_dim: int,
 # with Gaussian noise -> trunk -> visual feature vector.
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneratorArch:
-    text_dim: int
-    noise_dim: int
-    output_dim: int
-    embed_dim: int = 64
-    hidden_dims: tuple[int, ...] = (128,)
-
-    def validate(self) -> "GeneratorArch":
-        dims = (self.text_dim, self.output_dim, self.embed_dim, *self.hidden_dims)
-        if any(d < 1 for d in dims) or self.noise_dim < 0:
-            raise InvalidInputError(f"generator dims must be positive: {self}")
-        return self
-
-
 @dataclass
 class GeneratorCache:
     embed: MlpCache
@@ -417,38 +402,24 @@ class Generator:
         return flat, d_t, d_h[..., e_dim:]
 
 
-def build_generator(arch: GeneratorArch, rng: RngStream) -> Generator:
-    arch.validate()
-    embed = MlpNetwork([glorot_layer(rng, arch.text_dim, arch.embed_dim,
-                                     "leaky_relu", HIDDEN_SLOPE)])
-    dims = (arch.embed_dim + arch.noise_dim, *arch.hidden_dims, arch.output_dim)
-    layers = []
-    for i in range(len(dims) - 1):
-        last = i == len(dims) - 2
-        layers.append(glorot_layer(rng, dims[i], dims[i + 1],
-                                   "relu" if last else "leaky_relu",
-                                   0.0 if last else HIDDEN_SLOPE))
-    return Generator(embed=embed, trunk=MlpNetwork(layers), noise_dim=arch.noise_dim)
+def build_generator(rng: RngStream, text_dim: int, noise_dim: int, output_dim: int,
+                    embed_dim: int = 64, hidden_dims: tuple[int, ...] = (128,)) -> Generator:
+    if min(text_dim, output_dim, embed_dim, *hidden_dims) < 1 or noise_dim < 0:
+        raise InvalidInputError(
+            f"generator dims must be positive (noise >= 0): text {text_dim}, noise {noise_dim}, "
+            f"embed {embed_dim}, hidden {hidden_dims}, output {output_dim}")
+    embed = MlpNetwork([glorot_layer(rng, text_dim, embed_dim, "leaky_relu", HIDDEN_SLOPE)])
+    dims = (embed_dim + noise_dim, *hidden_dims, output_dim)
+    layers = [glorot_layer(rng, dims[i], dims[i + 1], "leaky_relu", HIDDEN_SLOPE)
+              for i in range(len(dims) - 2)]
+    layers.append(glorot_layer(rng, dims[-2], dims[-1], "relu"))
+    return Generator(embed=embed, trunk=MlpNetwork(layers), noise_dim=noise_dim)
 
 
 # --------------------------------------------------------------------------
 # Discriminator: shared trunk, then one linear layer holding both heads:
 # column 0 is the raw critic score, the rest are seen-class logits.
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiscriminatorArch:
-    input_dim: int
-    n_classes: int
-    hidden_dims: tuple[int, ...] = (128,)
-
-    def validate(self) -> "DiscriminatorArch":
-        if self.input_dim < 1 or any(d < 1 for d in self.hidden_dims):
-            raise InvalidInputError(f"discriminator dims must be positive: {self}")
-        if self.n_classes < 2:
-            raise InvalidInputError(f"need at least 2 seen classes, got {self.n_classes}")
-        return self
-
 
 class Discriminator:
     """Two-headed critic: raw realness score plus seen-class logits, or a
@@ -506,13 +477,18 @@ class Discriminator:
         return self.net.backward(cache, d_out)
 
 
-def build_discriminator(arch: DiscriminatorArch, rng: RngStream) -> Discriminator:
-    arch.validate()
-    dims = (arch.input_dim, *arch.hidden_dims)
+def build_discriminator(rng: RngStream, input_dim: int, n_classes: int,
+                        hidden_dims: tuple[int, ...] = (128,)) -> Discriminator:
+    dims = (input_dim, *hidden_dims)
+    if min(dims) < 1:
+        raise InvalidInputError(f"discriminator dims must be positive: input "
+                                f"{input_dim}, hidden {hidden_dims}")
+    if n_classes < 2:
+        raise InvalidInputError(f"need at least 2 seen classes, got {n_classes}")
     layers = [glorot_layer(rng, dims[i], dims[i + 1], "leaky_relu", HIDDEN_SLOPE)
               for i in range(len(dims) - 1)]
-    layers.append(glorot_layer(rng, dims[-1], 1 + arch.n_classes, "identity"))
-    return Discriminator(net=MlpNetwork(layers), n_classes=arch.n_classes)
+    layers.append(glorot_layer(rng, dims[-1], 1 + n_classes, "identity"))
+    return Discriminator(net=MlpNetwork(layers), n_classes=n_classes)
 
 
 def gradient_penalty(disc: Discriminator, cache: MlpCache):

@@ -18,10 +18,9 @@ from .divergence import DivergenceParams
 from .errors import InvalidConfigError, InvalidInputError, InvalidSplitError, TrainingDivergedError
 from .evaluate import generalized_curve
 from .losses import ALPHA_MODES, discriminator_loss, generator_loss, hallucinate_batch
-from .net import (DiscriminatorArch, Generator, GeneratorArch, build_discriminator,
-                  build_generator, Discriminator)
-from .numerics import (RngStream, STREAM_ALPHA, STREAM_EVAL, STREAM_GP, STREAM_INIT,
-                       STREAM_NOISE, STREAM_SHUFFLE, _splitmix64, adam_init, adam_step)
+from .net import Discriminator, Generator, build_discriminator, build_generator
+from .numerics import (RngStream, STREAM_ALPHA, STREAM_GP, STREAM_INIT, STREAM_NOISE,
+                       STREAM_SHUFFLE, _splitmix64, adam_init, adam_step)
 
 
 @dataclass(frozen=True)
@@ -184,18 +183,14 @@ def train_lockstep(dataset: ZslDataset, configs, snapshot_fns=None) -> list[Trai
     centers = class_means(dataset, seen_ids)
 
     n_head = seen_ids.size + (1 if config.extra_class_for_hallucinated else 0)
-    gen_arch = GeneratorArch(text_dim=dataset.text_dim, noise_dim=config.noise_dim,
-                             output_dim=dataset.feature_dim,
-                             embed_dim=config.text_embed_dim,
-                             hidden_dims=(config.hidden_dim,))
-    disc_arch = DiscriminatorArch(input_dim=dataset.feature_dim, n_classes=n_head,
-                                  hidden_dims=(config.hidden_dim,))
+    hidden = (config.hidden_dim,)
     streams, gens, discs = [], [], []
     for c in configs:
         root = RngStream(c.seed)
         init_rng = root.substream(STREAM_INIT)
-        gens.append(build_generator(gen_arch, init_rng))
-        discs.append(build_discriminator(disc_arch, init_rng))
+        gens.append(build_generator(init_rng, dataset.text_dim, config.noise_dim,
+                                    dataset.feature_dim, config.text_embed_dim, hidden))
+        discs.append(build_discriminator(init_rng, dataset.feature_dim, n_head, hidden))
         streams.append([root.substream(s) for s in
                         (STREAM_NOISE, STREAM_ALPHA, STREAM_SHUFFLE, STREAM_GP)])
     gen, disc = Generator.stack(gens), Discriminator.stack(discs)
@@ -294,14 +289,11 @@ def train_lockstep(dataset: ZslDataset, configs, snapshot_fns=None) -> list[Trai
 # Balancing-weight cross-validation
 # --------------------------------------------------------------------------
 
-def validation_auc(model_gen: Generator, train_ds: ZslDataset,
-                   samples_per_center: int = 30, seed: int = 0,
-                   metric: str = "l2") -> float:
-    """Seen/unseen AUC on a split dataset whose pseudo-unseen classes carry
-    their held-out instances: real centers for seen classes, synthesized
-    centers for the pseudo-unseen ones."""
-    return generalized_curve(model_gen, train_ds, samples_per_center,
-                             RngStream(seed, STREAM_EVAL), metric).auc
+def validation_auc(model_gen: Generator, train_ds: ZslDataset, seed: int) -> float:
+    """Seen/unseen l2 AUC on a split dataset whose pseudo-unseen classes
+    carry their held-out instances: real centers for seen classes, centers
+    of 30 synthesized samples for the pseudo-unseen ones."""
+    return generalized_curve(model_gen, train_ds, 30, seed).auc
 
 
 def _sweep_chunk(args):
@@ -318,8 +310,7 @@ def _sweep_chunk(args):
     return rows
 
 
-def cross_validate_lambda(dataset: ZslDataset, config: TrainConfig,
-                          lambda_grid, split_ratio: float = 0.8):
+def cross_validate_lambda(dataset: ZslDataset, config: TrainConfig, lambda_grid):
     """Train once per grid value on an 80/20 class split of the seen classes
     and score each checkpoint by validation seen/unseen AUC.
 
@@ -345,7 +336,7 @@ def cross_validate_lambda(dataset: ZslDataset, config: TrainConfig,
         workers = 0
     if workers < 1:
         raise InvalidConfigError(f"CIZSL_THREADS must be an integer >= 1, got {raw!r}")
-    train_ds = split_train_val(dataset, split_ratio, seed=config.seed)
+    train_ds = split_train_val(dataset, seed=config.seed)
     if train_ds.unseen_class_ids.size < 2:
         raise InvalidSplitError(
             f"cross-validation needs >= 2 validation classes, got "

@@ -17,8 +17,7 @@ from cizsl.evaluate import (ClassCenters, harmonic_mean, retrieval_precision,
                             trapezoid_auc, zsl_top1)
 from cizsl.gradcheck import run_gradient_contract
 from cizsl.losses import interpolate_texts, sample_alpha
-from cizsl.net import (DiscriminatorArch, GeneratorArch, build_discriminator,
-                       build_generator, load_checkpoint, save_checkpoint)
+from cizsl.net import build_discriminator, build_generator, load_checkpoint, save_checkpoint
 from cizsl.numerics import RngStream
 from cizsl.train import TrainConfig, cross_validate_lambda, train, validation_auc
 from helpers import datasets_equal
@@ -254,9 +253,9 @@ def test_criterion_7_format_round_trips(tmp_path):
     dataset_ok = datasets_equal(ds, loaded)
 
     rng = RngStream(99, 0)
-    gen = build_generator(GeneratorArch(text_dim=5, noise_dim=3, output_dim=7,
-                                        embed_dim=4, hidden_dims=(6,)), rng)
-    disc = build_discriminator(DiscriminatorArch(input_dim=7, n_classes=4), rng)
+    gen = build_generator(rng, text_dim=5, noise_dim=3, output_dim=7,
+                          embed_dim=4, hidden_dims=(6,))
+    disc = build_discriminator(rng, input_dim=7, n_classes=4)
     save_checkpoint(tmp_path / "m.czsl", gen, disc)
     gen2, disc2 = load_checkpoint(tmp_path / "m.czsl")
     ckpt_ok = (np.array_equal(gen.param_vector(), gen2.param_vector())

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cizsl.net import DiscriminatorArch, build_discriminator
+from cizsl.net import build_discriminator
 from cizsl.numerics import RngStream
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -34,8 +34,7 @@ def test_every_traced_target_resolves():
 
 def test_counter_inputs_exist():
     # the counters read cache.x rows, layer weight shapes and n_params
-    disc = build_discriminator(DiscriminatorArch(input_dim=3, n_classes=2),
-                               RngStream(0, 0))
+    disc = build_discriminator(RngStream(0, 0), input_dim=3, n_classes=2)
     _, cache = disc.net.forward_cached(np.zeros((4, 3)))
     assert cache.x.shape[0] == 4
     assert [l.weight.shape for l in disc.net.layers] == [(128, 3), (3, 128)]

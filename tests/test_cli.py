@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -373,10 +374,9 @@ class TestRetrieveCommand:
                 np.hstack([mapping, np.zeros((x_dim, noise_dim))]),
                 np.zeros(x_dim), "relu")]),
             noise_dim=noise_dim)
-        from cizsl.net import DiscriminatorArch, build_discriminator
+        from cizsl.net import build_discriminator
         from cizsl.numerics import RngStream
-        disc = build_discriminator(DiscriminatorArch(input_dim=x_dim, n_classes=4),
-                                   RngStream(0, 0))
+        disc = build_discriminator(RngStream(0, 0), input_dim=x_dim, n_classes=4)
         save_checkpoint(tmp_path / "exact.czsl", gen, disc)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -458,7 +458,7 @@ class TestRetrieveCommand:
         # rewrite the dataset with every class seen
         from cizsl.data import load_dataset
         ds = load_dataset(tmp_path / "toy.json")
-        ds = ds.with_seen_flags(ds.class_ids)
+        ds = dataclasses.replace(ds, seen_mask=np.ones_like(ds.seen_mask))
         save_dataset(ds, tmp_path / "toy.json")
         capsys.readouterr()
         code, _, err = run_cli(capsys, "retrieve", "--config", str(cfg),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,12 +11,17 @@ from cizsl.evaluate import (CENTER_BLOCK_ROWS, ClassCenters, _distances, curve_c
                             curve_svg, generalized_curve, harmonic_mean,
                             retrieval_precision, seen_unseen_curve, synthesize_centers,
                             trapezoid_auc, unseen_centers, zsl_top1)
-from cizsl.net import Generator, GeneratorArch, Layer, MlpNetwork, build_generator
-from cizsl.numerics import RngStream
+from cizsl.net import Generator, Layer, MlpNetwork, build_generator
+from cizsl.numerics import STREAM_EVAL, RngStream
 
 
 def centers_of(ids, pts):
     return ClassCenters(class_ids=np.array(ids), centers=np.array(pts, dtype=float))
+
+
+def distances(feats, cents, metric):
+    """`_distances` with the features' squared norms computed here."""
+    return _distances(feats, np.einsum("ij,ij->i", feats, feats), cents, metric)
 
 
 class TestSynthesizeCenters:
@@ -36,7 +42,7 @@ class TestSynthesizeCenters:
 
     def test_n_equals_one_is_single_sample(self):
         rng = RngStream(3, 0)
-        gen = build_generator(GeneratorArch(text_dim=4, noise_dim=3, output_dim=5), rng)
+        gen = build_generator(rng, text_dim=4, noise_dim=3, output_dim=5)
         t = rng.normal(4)
         out = synthesize_centers(gen, [1], t[None], 1, RngStream(42, 0))
         z = RngStream(42, 0).derive(1).normal((1, 3))
@@ -60,7 +66,7 @@ class TestSynthesizeCenters:
 
     def test_deterministic_per_seed_and_dict_order_free(self):
         rng = RngStream(9, 0)
-        gen = build_generator(GeneratorArch(text_dim=4, noise_dim=2, output_dim=3), rng)
+        gen = build_generator(rng, text_dim=4, noise_dim=2, output_dim=3)
         t1, t2 = rng.normal(4), rng.normal(4)
         a = synthesize_centers(gen, [1, 2], np.array([t1, t2]), 7, RngStream(1, 0))
         b = synthesize_centers(gen, [2, 1], np.array([t2, t1]), 7, RngStream(1, 0))
@@ -83,8 +89,8 @@ class TestSynthesizeCenters:
         # each class keeps its own noise stream; the one-row embedding and
         # the block-sized products may sum in another order than the loop's
         rng = RngStream(21, 0)
-        gen = build_generator(GeneratorArch(text_dim=10, noise_dim=6, output_dim=32,
-                                            embed_dim=12, hidden_dims=(40,)), rng)
+        gen = build_generator(rng, text_dim=10, noise_dim=6, output_dim=32,
+                              embed_dim=12, hidden_dims=(40,))
         ids = [int(c) for c in rng.permutation(100)[:k] + 1]
         descriptors = {c: rng.normal(10) for c in ids}
         loop = self.per_class_loop(gen, descriptors, n, RngStream(4, 2))
@@ -97,7 +103,7 @@ class TestSynthesizeCenters:
 
     def test_blocks_independent_of_dict_order(self):
         rng = RngStream(22, 0)
-        gen = build_generator(GeneratorArch(text_dim=5, noise_dim=3, output_dim=8), rng)
+        gen = build_generator(rng, text_dim=5, noise_dim=3, output_dim=8)
         n = CENTER_BLOCK_ROWS // 3 + 1   # two classes per block
         descriptors = {int(c): rng.normal(5) for c in rng.permutation(9) * 3}
         shuffled = {c: descriptors[c] for c in reversed(list(descriptors))}
@@ -109,8 +115,7 @@ class TestSynthesizeCenters:
         np.testing.assert_array_equal(a.centers, b.centers)
 
     def test_descriptor_of_wrong_dim_rejected(self):
-        gen = build_generator(GeneratorArch(text_dim=4, noise_dim=2, output_dim=3),
-                              RngStream(0, 0))
+        gen = build_generator(RngStream(0, 0), text_dim=4, noise_dim=2, output_dim=3)
         with pytest.raises(InvalidInputError, match=r"descriptors have shape \(2, 3\), "
                            r"expected \(2, 4\)"):
             synthesize_centers(gen, [1, 5], np.zeros((2, 3)), 2, RngStream(0, 0))
@@ -122,8 +127,8 @@ class TestSynthesizeCenters:
         # 10x the memory
         rng = RngStream(23, 0)
         n, d = 60, 256
-        gen = build_generator(GeneratorArch(text_dim=32, noise_dim=16, output_dim=d,
-                                            embed_dim=64, hidden_dims=(512,)), rng)
+        gen = build_generator(rng, text_dim=32, noise_dim=16, output_dim=d,
+                              embed_dim=64, hidden_dims=(512,))
         descriptors = np.array([rng.normal(32) for c in range(400)])
         peaks = {}
         for k in (40, 400):
@@ -147,16 +152,15 @@ class TestGeneralizedCurve:
         ds = make_synthetic(SyntheticConfig(n_super=4, classes_per_super=3,
                                             instances_per_class=6, text_dim=5,
                                             feature_dim=7, seed=2))
-        gen = build_generator(GeneratorArch(text_dim=5, noise_dim=3, output_dim=7),
-                              RngStream(2, 0))
+        gen = build_generator(RngStream(2, 0), text_dim=5, noise_dim=3, output_dim=7)
         return ds, gen
 
     @pytest.mark.parametrize("metric", ["l2", "cosine"])
     def test_seen_means_against_generated_unseen_centers(self, metric):
         ds, gen = self.dataset_and_generator()
-        curve = generalized_curve(gen, ds, 9, RngStream(4, 0), metric)
+        curve = generalized_curve(gen, ds, 9, 4, metric)
         unseen = synthesize_centers(gen, ds.unseen_class_ids, ds.descriptors[~ds.seen_mask],
-                                    9, RngStream(4, 0))
+                                    9, RngStream(4, STREAM_EVAL))
         seen = ClassCenters(class_ids=ds.seen_class_ids,
                             centers=class_means(ds, ds.seen_class_ids))
         expected = seen_unseen_curve(ds.features, ds.labels, seen, unseen, metric)
@@ -166,10 +170,10 @@ class TestGeneralizedCurve:
 
     def test_dataset_without_unseen_classes_rejected(self):
         ds, gen = self.dataset_and_generator()
-        ds = ds.with_seen_flags(ds.class_ids)
+        ds = dataclasses.replace(ds, seen_mask=np.ones_like(ds.seen_mask))
         for score in (unseen_centers, generalized_curve):
             with pytest.raises(InvalidInputError, match="no unseen classes"):
-                score(gen, ds, 5, RngStream(0, 0))
+                score(gen, ds, 5, 0)
 
 
 class TestClassCenters:
@@ -182,6 +186,27 @@ class TestClassCenters:
     def test_length_mismatch_rejected(self, ids, rows):
         with pytest.raises(InvalidInputError, match="one center required per class id"):
             centers_of(ids, np.zeros((rows, 2)))
+
+    def test_centers_must_be_a_matrix(self):
+        # one center per id, but no width: a (K,) vector is no (K, D) matrix
+        with pytest.raises(InvalidInputError, match=r"\(K, D\) matrix: got 2 ids and "
+                                                    r"shape \(2,\)"):
+            centers_of([1, 2], [0.0, 1.0])
+
+    @pytest.mark.parametrize("score", [
+        lambda f, l, c: zsl_top1(f, l, c),
+        lambda f, l, c: seen_unseen_curve(f, l, centers_of([7, 8], np.zeros((2, 4))), c),
+        lambda f, l, c: seen_unseen_curve(f, l, c, centers_of([7, 8], np.zeros((2, 4)))),
+        lambda f, l, c: retrieval_precision(f, l, c),
+    ])
+    @pytest.mark.parametrize("metric", ["l2", "cosine"])
+    def test_centers_of_another_width_rejected(self, score, metric):
+        feats = RngStream(3, 0).normal((6, 4))
+        labels = np.array([1, 2, 7, 8, 1, 2])
+        centers = centers_of([1, 2], np.ones((2, 3)))
+        with pytest.raises(InvalidInputError,
+                           match="centers have width 3, features have width 4"):
+            score(feats, labels, centers)
 
 
 class TestDistances:
@@ -197,10 +222,10 @@ class TestDistances:
         feats = np.concatenate([feats, cents])
         ref_sq = np.sum((feats[:, None] - cents[None]) ** 2, axis=2)
         scale = np.sum(feats ** 2, axis=1)[:, None] + np.sum(cents ** 2, axis=1)[None, :]
-        assert np.all(np.abs(_distances(feats, cents, "l2") ** 2 - ref_sq) <= 1e-13 * scale)
+        assert np.all(np.abs(distances(feats, cents, "l2") ** 2 - ref_sq) <= 1e-13 * scale)
         fn = feats / np.maximum(np.linalg.norm(feats, axis=1, keepdims=True), 1e-12)
         cn = cents / np.maximum(np.linalg.norm(cents, axis=1, keepdims=True), 1e-12)
-        np.testing.assert_allclose(_distances(feats, cents, "cosine"), 1.0 - fn @ cn.T,
+        np.testing.assert_allclose(distances(feats, cents, "cosine"), 1.0 - fn @ cn.T,
                                    rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("metric", ["l2", "cosine"])
@@ -210,9 +235,9 @@ class TestDistances:
         # distances may differ from its column in a wider block, by ulps
         rng = RngStream(20, 0)
         feats, cents = rng.normal((500, 300)), rng.normal((4, 300))
-        wide = _distances(feats, cents, metric)
+        wide = distances(feats, cents, metric)
         for j in range(cents.shape[0]):
-            np.testing.assert_allclose(_distances(feats, cents[j:j + 1], metric)[:, 0],
+            np.testing.assert_allclose(distances(feats, cents[j:j + 1], metric)[:, 0],
                                        wide[:, j], rtol=1e-15, atol=1e-15)
 
     @pytest.mark.parametrize("metric", ["l2", "cosine"])
@@ -222,7 +247,7 @@ class TestDistances:
         feats, cents = rng.normal((2000, 64)), rng.normal((50, 64))
         tracemalloc.start()
         try:
-            _distances(feats, cents, metric)
+            distances(feats, cents, metric)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -453,8 +478,8 @@ class TestCurve:
         unseen = centers_of(range(100, 100 + k), rng.normal((k, 8)))
         feats = rng.normal((n, 8))
         labels = np.where(rng.integers(0, 2, n) == 1,
-                          seen.class_ids[_distances(feats, seen.centers, "l2").argmin(1)],
-                          unseen.class_ids[_distances(feats, unseen.centers, "l2").argmin(1)])
+                          seen.class_ids[distances(feats, seen.centers, "l2").argmin(1)],
+                          unseen.class_ids[distances(feats, unseen.centers, "l2").argmin(1)])
         return feats, labels, seen, unseen
 
     def test_memory_bounded_by_distance_matrix(self):
@@ -621,7 +646,7 @@ class TestRetrieval:
         labels = np.concatenate([ids[rng.integers(0, 4, n - 40)], np.full(40, 8)])
         labels[rng.integers(0, n, 30)] = 77          # rows of no unseen class
         centers = centers_of(ids, rng.integers(-1, 2, (4, 3)).astype(float))
-        d = _distances(feats, centers.centers, metric)
+        d = distances(feats, centers.centers, metric)
         assert len(np.unique(d)) < d.size / 10
         for ratios in ((0.1, 0.25, 1.0, 2.5), (0.5, 1000.0)):
             expected = {}

@@ -8,9 +8,8 @@ from cizsl.errors import InvalidInputError
 from cizsl.losses import (ALPHA_MODES, creativity_loss, discriminator_loss,
                           generator_loss, hallucinate_batch, interpolate_texts,
                           sample_alpha, visual_pivot)
-from cizsl.net import (DiscriminatorArch, Discriminator, Generator, GeneratorArch,
-                       Layer, MlpNetwork, build_discriminator, build_generator,
-                       gradient_penalty)
+from cizsl.net import (Discriminator, Generator, Layer, MlpNetwork, build_discriminator,
+                       build_generator, gradient_penalty)
 from cizsl.numerics import RngStream, finite_diff_gradient, relative_error
 
 SM = DivergenceParams(mode="sharma-mittal", gamma=1.8, beta=0.4)
@@ -18,10 +17,9 @@ SM = DivergenceParams(mode="sharma-mittal", gamma=1.8, beta=0.4)
 
 def tiny_models(seed=0, k_cls=3):
     rng = RngStream(seed, 7)
-    gen = build_generator(GeneratorArch(text_dim=4, noise_dim=3, output_dim=5,
-                                        embed_dim=4, hidden_dims=(6,)), rng)
-    disc = build_discriminator(DiscriminatorArch(input_dim=5, n_classes=k_cls,
-                                                 hidden_dims=(6,)), rng)
+    gen = build_generator(rng, text_dim=4, noise_dim=3, output_dim=5,
+                          embed_dim=4, hidden_dims=(6,))
+    disc = build_discriminator(rng, input_dim=5, n_classes=k_cls, hidden_dims=(6,))
     return gen, disc
 
 
@@ -378,7 +376,7 @@ class TestDiscriminatorLoss:
     def test_identical_real_and_fake_gap_is_zero(self):
         k = 3
         rng = RngStream(9, 0)
-        disc = build_discriminator(DiscriminatorArch(input_dim=4, n_classes=k), rng)
+        disc = build_discriminator(rng, input_dim=4, n_classes=k)
         const = rng.normal(4)
         gen = Generator(
             embed=MlpNetwork([Layer(np.zeros((4, 2)), const, "identity")]),
@@ -433,11 +431,10 @@ class TestDiscriminatorLoss:
 class TestExtraClassAblation:
     def test_runs_and_changes_the_objective(self):
         rng = RngStream(14, 0)
-        gen = build_generator(GeneratorArch(text_dim=4, noise_dim=3, output_dim=5,
-                                            embed_dim=4, hidden_dims=(6,)), rng)
+        gen = build_generator(rng, text_dim=4, noise_dim=3, output_dim=5,
+                              embed_dim=4, hidden_dims=(6,))
         # head width K + 1 for the extra hallucinated class
-        disc = build_discriminator(DiscriminatorArch(input_dim=5, n_classes=4,
-                                                     hidden_dims=(6,)), rng)
+        disc = build_discriminator(rng, input_dim=5, n_classes=4, hidden_dims=(6,))
         m = 5
         t_h, z_h = rng.normal((1, m, 4)), rng.normal((1, m, 3))
         t_s, z_s = rng.normal((1, m, 4)), rng.normal((1, m, 3))

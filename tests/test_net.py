@@ -5,10 +5,9 @@ import pytest
 
 import cizsl.data
 from cizsl.errors import DatasetFormatError, InvalidInputError, InvalidStateError
-from cizsl.net import (DiscriminatorArch, Discriminator, Generator, GeneratorArch,
-                       Layer, MlpNetwork, _act, _act_d, build_discriminator,
-                       build_generator, gradient_penalty, load_checkpoint,
-                       save_checkpoint)
+from cizsl.net import (Discriminator, Generator, Layer, MlpNetwork, _act, _act_d,
+                       build_discriminator, build_generator, gradient_penalty,
+                       load_checkpoint, save_checkpoint)
 from cizsl.numerics import (RngStream, adam_init, adam_step, finite_diff_gradient,
                             relative_error)
 from helpers import fail_halfway_through
@@ -48,8 +47,8 @@ class TestForward:
 
     def test_generator_matches_straight_line_recomputation(self):
         rng = RngStream(21, 0)
-        gen = build_generator(GeneratorArch(text_dim=5, noise_dim=3, output_dim=4,
-                                            embed_dim=6, hidden_dims=(7,)), rng)
+        gen = build_generator(rng, text_dim=5, noise_dim=3, output_dim=4,
+                              embed_dim=6, hidden_dims=(7,))
         t = rng.normal(5)
         z = rng.normal(3)
         # independent recomputation of the affine/activation chain
@@ -75,8 +74,7 @@ class TestForward:
 
     def test_discriminator_matches_recomputation(self):
         rng = RngStream(22, 0)
-        disc = build_discriminator(DiscriminatorArch(input_dim=5, n_classes=4,
-                                                     hidden_dims=(6,)), rng)
+        disc = build_discriminator(rng, input_dim=5, n_classes=4, hidden_dims=(6,))
         x = rng.normal(5)
         h = leaky(disc.net.layers[0].weight @ x + disc.net.layers[0].bias)
         out = disc.net.layers[1].weight @ h + disc.net.layers[1].bias
@@ -86,18 +84,38 @@ class TestForward:
 
     def test_dimension_mismatch_rejected(self):
         rng = RngStream(1, 0)
-        gen = build_generator(GeneratorArch(text_dim=4, noise_dim=2, output_dim=3), rng)
+        gen = build_generator(rng, text_dim=4, noise_dim=2, output_dim=3)
         with pytest.raises(InvalidInputError):
             gen.forward(np.zeros(5), np.zeros(2))
         with pytest.raises(InvalidInputError):
             gen.forward(np.zeros(4), np.zeros(3))
 
+    @pytest.mark.parametrize("dims", [dict(text_dim=0), dict(noise_dim=-1),
+                                      dict(output_dim=0), dict(embed_dim=0),
+                                      dict(hidden_dims=(4, 0))])
+    def test_generator_builder_rejects_non_positive_dims(self, dims):
+        args = dict(text_dim=4, noise_dim=2, output_dim=3, embed_dim=5, hidden_dims=(6,))
+        with pytest.raises(InvalidInputError, match="generator dims must be positive"):
+            build_generator(RngStream(0, 0), **{**args, **dims})
+
+    @pytest.mark.parametrize("dims", [dict(input_dim=0), dict(hidden_dims=(0,)),
+                                      dict(hidden_dims=(3, -1))])
+    def test_discriminator_builder_rejects_non_positive_dims(self, dims):
+        with pytest.raises(InvalidInputError, match="discriminator dims must be positive"):
+            build_discriminator(RngStream(0, 0), **{"input_dim": 3, "n_classes": 2, **dims})
+
+    @pytest.mark.parametrize("n_classes", [1, 0])
+    def test_discriminator_builder_needs_two_classes(self, n_classes):
+        with pytest.raises(InvalidInputError,
+                           match=f"need at least 2 seen classes, got {n_classes}"):
+            build_discriminator(RngStream(0, 0), input_dim=3, n_classes=n_classes)
+
 
 class TestParamVector:
     def test_flatten_unflatten_bijection(self):
         rng = RngStream(33, 0)
-        gen = build_generator(GeneratorArch(text_dim=4, noise_dim=2, output_dim=3,
-                                            embed_dim=5, hidden_dims=(6,)), rng)
+        gen = build_generator(rng, text_dim=4, noise_dim=2, output_dim=3,
+                              embed_dim=5, hidden_dims=(6,))
         theta = gen.param_vector()
         gen.set_param_vector(theta)
         np.testing.assert_array_equal(gen.param_vector(), theta)
@@ -108,9 +126,9 @@ class TestParamVector:
 
     def test_layers_are_views_of_one_buffer(self):
         rng = RngStream(34, 0)
-        gen = build_generator(GeneratorArch(text_dim=4, noise_dim=2, output_dim=3,
-                                            embed_dim=5, hidden_dims=(6,)), rng)
-        disc = build_discriminator(DiscriminatorArch(input_dim=3, n_classes=2), rng)
+        gen = build_generator(rng, text_dim=4, noise_dim=2, output_dim=3,
+                              embed_dim=5, hidden_dims=(6,))
+        disc = build_discriminator(rng, input_dim=3, n_classes=2)
         layers = gen.embed.layers + gen.trunk.layers
         for l in layers:
             assert np.shares_memory(l.weight, gen.params)
@@ -131,8 +149,8 @@ class TestParamVector:
 
     def test_generator_update_invalidates_both_caches(self):
         rng = RngStream(35, 0)
-        gen = build_generator(GeneratorArch(text_dim=4, noise_dim=2, output_dim=3,
-                                            embed_dim=5, hidden_dims=(6,)), rng)
+        gen = build_generator(rng, text_dim=4, noise_dim=2, output_dim=3,
+                              embed_dim=5, hidden_dims=(6,))
         _, cache = gen.forward_cached(rng.normal((2, 4)), rng.normal((2, 2)))
         gen.set_param_vector(gen.param_vector())
         with pytest.raises(InvalidStateError):
@@ -142,7 +160,7 @@ class TestParamVector:
 
     def test_adam_step_invalidates_critic_cache(self):
         rng = RngStream(36, 0)
-        disc = build_discriminator(DiscriminatorArch(input_dim=3, n_classes=2), rng)
+        disc = build_discriminator(rng, input_dim=3, n_classes=2)
         x = rng.normal((4, 3))
         _, cache = disc.forward_cached(x)
         adam_step(disc.params, rng.normal(disc.n_params), adam_init(disc.n_params))
@@ -154,7 +172,7 @@ class TestParamVector:
 
     def test_wrong_length_rejected(self):
         rng = RngStream(1, 0)
-        disc = build_discriminator(DiscriminatorArch(input_dim=3, n_classes=2), rng)
+        disc = build_discriminator(rng, input_dim=3, n_classes=2)
         with pytest.raises(InvalidInputError):
             disc.set_param_vector(np.zeros(disc.n_params + 1))
 
@@ -262,8 +280,7 @@ class TestGradientPenalty:
     @pytest.mark.parametrize("seed", range(5))
     def test_one_hidden_layer_matches_finite_differences(self, seed):
         rng = RngStream(200 + seed, 0)
-        disc = build_discriminator(DiscriminatorArch(input_dim=4, n_classes=3,
-                                                     hidden_dims=(6,)), rng)
+        disc = build_discriminator(rng, input_dim=4, n_classes=3, hidden_dims=(6,))
         x_hat = rng.normal((1, 3, 4))
         _, analytic, _ = penalty_of_rows(disc, x_hat)
         theta0 = disc.param_vector()
@@ -283,8 +300,7 @@ class TestGradientPenalty:
         # the critic loss's one forward stacks [fake; real; x_h; x_hat]; the
         # penalty on its x_hat rows must be the penalty of x_hat alone
         rng = RngStream(400 + seed, 0)
-        disc = build_discriminator(DiscriminatorArch(input_dim=6, n_classes=5,
-                                                     hidden_dims=(9,)), rng)
+        disc = build_discriminator(rng, input_dim=6, n_classes=5, hidden_dims=(9,))
         disc.set_param_vector(0.5 * rng.normal(disc.n_params))
         m = 7
         fake, real = rng.normal((1, m, 6)), rng.normal((1, m, 6))
@@ -305,11 +321,10 @@ class TestGradientPenalty:
 class TestStack:
     def members(self, n=3, seed=60):
         rng = RngStream(seed, 0)
-        gens = [build_generator(GeneratorArch(text_dim=4, noise_dim=2, output_dim=3,
-                                              embed_dim=5, hidden_dims=(6,)), rng)
+        gens = [build_generator(rng, text_dim=4, noise_dim=2, output_dim=3,
+                                embed_dim=5, hidden_dims=(6,))
                 for _ in range(n)]
-        discs = [build_discriminator(DiscriminatorArch(input_dim=3, n_classes=2,
-                                                       hidden_dims=(5,)), rng)
+        discs = [build_discriminator(rng, input_dim=3, n_classes=2, hidden_dims=(5,))
                  for _ in range(n)]
         for model in gens + discs:
             model.set_param_vector(0.5 * rng.normal(model.n_params))
@@ -415,9 +430,9 @@ class TestLeakyRelu:
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = RngStream(55, 0)
-        gen = build_generator(GeneratorArch(text_dim=6, noise_dim=3, output_dim=5,
-                                            embed_dim=4, hidden_dims=(7,)), rng)
-        disc = build_discriminator(DiscriminatorArch(input_dim=5, n_classes=4), rng)
+        gen = build_generator(rng, text_dim=6, noise_dim=3, output_dim=5,
+                              embed_dim=4, hidden_dims=(7,))
+        disc = build_discriminator(rng, input_dim=5, n_classes=4)
         path = tmp_path / "model.czsl"
         save_checkpoint(path, gen, disc)
         gen2, disc2 = load_checkpoint(path)
@@ -441,8 +456,8 @@ class TestCheckpoint:
 
     def test_bad_version_rejected(self, tmp_path):
         rng = RngStream(56, 0)
-        gen = build_generator(GeneratorArch(text_dim=2, noise_dim=1, output_dim=2), rng)
-        disc = build_discriminator(DiscriminatorArch(input_dim=2, n_classes=2), rng)
+        gen = build_generator(rng, text_dim=2, noise_dim=1, output_dim=2)
+        disc = build_discriminator(rng, input_dim=2, n_classes=2)
         path = tmp_path / "model.czsl"
         save_checkpoint(path, gen, disc)
         raw = bytearray(path.read_bytes())
@@ -453,9 +468,9 @@ class TestCheckpoint:
 
     def saved(self, tmp_path):
         rng = RngStream(57, 0)
-        gen = build_generator(GeneratorArch(text_dim=3, noise_dim=2, output_dim=4,
-                                            embed_dim=3, hidden_dims=(5,)), rng)
-        disc = build_discriminator(DiscriminatorArch(input_dim=4, n_classes=2), rng)
+        gen = build_generator(rng, text_dim=3, noise_dim=2, output_dim=4,
+                              embed_dim=3, hidden_dims=(5,))
+        disc = build_discriminator(rng, input_dim=4, n_classes=2)
         path = tmp_path / "model.czsl"
         save_checkpoint(path, gen, disc)
         return path

@@ -9,9 +9,10 @@ directory: `synth` on the base config and on an easy-split, linear variant
 `creativity_enabled: false`, with the extra-class ablation under the renyi
 divergence, under kl (nothing learned) and under tsallis (gamma learned,
 beta tied to it), then `sweep-lambda`, `eval` and `retrieve` on the
-default run's final checkpoint, `train`, `eval` and `retrieve` on the base
-synth's manifest (the path that reads a dataset from disk), and
-`gradcheck --seed 0`.
+default run's final checkpoint, `eval` and `retrieve` once more on it with
+`"eval": {"metric": "cosine"}` (the cosine distances, curve and ranking),
+`train`, `eval` and `retrieve` on the base synth's manifest (the path that
+reads a dataset from disk), and `gradcheck --seed 0`.
 SEED overrides the config seeds of every command but gradcheck. The
 manifest config names its dataset by a path relative to the temporary
 directory, so its `config.json` snapshot hashes the same from any
@@ -103,6 +104,13 @@ def main(argv: list[str]) -> int:
         _run(work, "sweep-lambda", ["sweep-lambda", *common], lines)
         _run(work, "eval", ["eval", *common, "--checkpoint", checkpoint], lines)
         _run(work, "retrieve", ["retrieve", *common, "--checkpoint", checkpoint], lines)
+        cfg = work / "cosine.json"
+        cfg.write_text(json.dumps({**BASE_CONFIG,
+                                   "eval": {**BASE_CONFIG["eval"], "metric": "cosine"}}))
+        common = ["--config", str(cfg), "--seed", seed]
+        _run(work, "eval-cosine", ["eval", *common, "--checkpoint", checkpoint], lines)
+        _run(work, "retrieve-cosine", ["retrieve", *common, "--checkpoint", checkpoint],
+             lines)
         cfg = work / "manifest.json"
         cfg.write_text(json.dumps({"dataset": "synth-base/dataset.json",
                                    "train": BASE_CONFIG["train"],
