@@ -14,11 +14,12 @@ import dataclasses
 import json
 import math
 import sys
+import types
 import typing
 from pathlib import Path
 
-from .data import (SyntheticConfig, _write_files, load_dataset, make_synthetic,
-                   save_dataset)
+from .data import (SyntheticConfig, _json_value, _read_json_object, _write_files,
+                   load_dataset, make_synthetic, save_dataset)
 from .errors import (CizslError, DatasetFormatError, InvalidConfigError,
                      InvalidInputError, InvalidSplitError)
 from .evaluate import (METRICS, curve_csv, curve_svg, generalized_curve, harmonic_mean,
@@ -71,12 +72,12 @@ class EvalOptions:
 class ExperimentConfig:
     train: TrainConfig = TrainConfig()
     eval: EvalOptions = EvalOptions()
-    dataset_path: str | None = None
+    dataset: str | None = None
     synthetic: SyntheticConfig | None = None
     out_dir: str = "run"
 
     def validate(self) -> "ExperimentConfig":
-        if (self.dataset_path is None) == (self.synthetic is None):
+        if (self.dataset is None) == (self.synthetic is None):
             raise InvalidConfigError(
                 "config must set exactly one of 'dataset' / 'synthetic'")
         self.train.validate()
@@ -86,83 +87,53 @@ class ExperimentConfig:
         return self
 
     def load_data(self):
-        if self.dataset_path is not None:
-            return load_dataset(self.dataset_path)
+        if self.dataset is not None:
+            return load_dataset(self.dataset)
         return make_synthetic(self.synthetic)
 
 
-def _typed(value, hint, name: str):
-    """A JSON value as the annotated field type: ints pass for floats (but
-    bools for neither), floats must be finite (JSON readers accept NaN and
-    Infinity), lists become tuples of numbers; anything else that does not
-    match raises InvalidConfigError naming the field."""
-    if typing.get_origin(hint) is tuple:
-        if isinstance(value, list):
-            return tuple(_typed(v, typing.get_args(hint)[0], name) for v in value)
-        raise InvalidConfigError(f"{name} must be a list of numbers, got {value!r}")
-    if hint is float and type(value) is int:
-        return float(value)
-    if hint is float and type(value) is float and not math.isfinite(value):
-        raise InvalidConfigError(f"{name} must be a finite number, got {value!r}")
-    if isinstance(value, hint) and not (isinstance(value, bool) and hint is not bool):
-        return value
-    raise InvalidConfigError(f"{name} must be of type {hint.__name__}, got {value!r}")
-
-
-def _build_section(cls, raw: dict, section: str):
-    if not isinstance(raw, dict):
-        raise InvalidConfigError(f"config section {section!r} must be a JSON object")
+def _build_section(cls, raw, section: str):
+    """The config dataclass `cls` from its JSON object: every key must be a
+    field, a section-typed field (`X | None` too: null is no section) is
+    built in turn, and every other value is typed by `_json_value`."""
+    if type(raw) is not dict:
+        raise InvalidConfigError(f"config section {section!r} must be a JSON object, "
+                                 f"got {raw!r}")
+    prefix = f"{section}." if section else ""
     hints = typing.get_type_hints(cls)
-    for key in raw:
+    fields = {}
+    for key, value in raw.items():
         if key not in hints:
-            raise InvalidConfigError(f"unknown field {section}.{key!r}")
-    return cls(**{key: _typed(value, hints[key], f"{section}.{key}")
-                  for key, value in raw.items()})
+            raise InvalidConfigError(f"unknown field {prefix}{key!r}")
+        kind = hints[key]
+        if isinstance(kind, types.UnionType):  # `X | None`: the key may be left out
+            kind = typing.get_args(kind)[0]
+        fields[key] = (_build_section(kind, value, prefix + key)
+                       if dataclasses.is_dataclass(kind) else
+                       _json_value(value, kind, prefix + key, InvalidConfigError))
+    return cls(**fields)
 
 
 def load_experiment_config(path, seed: int | None = None,
                            out_dir: str | None = None) -> ExperimentConfig:
     """Parse a JSON experiment file; flags override file values."""
-    path = Path(path)
-    if not path.exists():
-        raise InvalidConfigError(f"config file not found: {path}")
-    try:
-        with open(path) as f:
-            raw = json.load(f)
-    except json.JSONDecodeError as e:
-        raise InvalidConfigError(f"config is not valid JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise InvalidConfigError("config root must be a JSON object")
-    known = {"dataset", "synthetic", "train", "eval", "out_dir"}
-    for key in raw:
-        if key not in known:
-            raise InvalidConfigError(f"unknown top-level config field {key!r}")
-        if key in ("dataset", "out_dir") and not isinstance(raw[key], str):
-            raise InvalidConfigError(f"{key} must be a string, got {raw[key]!r}")
-    train_cfg = _build_section(TrainConfig, raw.get("train", {}), "train")
-    eval_cfg = _build_section(EvalOptions, raw.get("eval", {}), "eval")
-    synth_cfg = None
-    if "synthetic" in raw:
-        synth_cfg = _build_section(SyntheticConfig, raw["synthetic"], "synthetic")
+    cfg = _build_section(ExperimentConfig,
+                         _read_json_object(path, "config", InvalidConfigError), "")
     if seed is not None:
-        train_cfg = dataclasses.replace(train_cfg, seed=seed)
-        if synth_cfg is not None:
-            synth_cfg = dataclasses.replace(synth_cfg, seed=seed)
-    cfg = ExperimentConfig(
-        train=train_cfg, eval=eval_cfg,
-        dataset_path=raw.get("dataset"),
-        synthetic=synth_cfg,
-        out_dir=out_dir if out_dir is not None else raw.get("out_dir", "run"),
-    )
+        # a seed outside int64 would write a config.json that does not read back
+        seed = _json_value(seed, int, "--seed", InvalidConfigError)
+        cfg = dataclasses.replace(
+            cfg, train=dataclasses.replace(cfg.train, seed=seed),
+            synthetic=cfg.synthetic and dataclasses.replace(cfg.synthetic, seed=seed))
+    if out_dir is not None:
+        cfg = dataclasses.replace(cfg, out_dir=out_dir)
     return cfg.validate()
 
 
 def _config_snapshot(cfg: ExperimentConfig) -> str:
     """The config in the file format, unset sections left out."""
-    out = dataclasses.asdict(cfg)
-    out["dataset"] = out.pop("dataset_path")
-    return json.dumps({key: value for key, value in out.items() if value is not None},
-                      indent=1, sort_keys=True) + "\n"
+    return json.dumps({key: value for key, value in dataclasses.asdict(cfg).items()
+                       if value is not None}, indent=1, sort_keys=True) + "\n"
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,11 @@ magic "CZFD", a little-endian u16 version, u32 rows and u32 cols; the payload
 is little-endian float64 for feature/descriptor blobs and u32 for the label
 blob (one class id per feature row). Round trips are bit-exact.
 
+Every file of the package is written by `_write_files`, and read by one
+reader per encoding: `_read_json_object` and `_json_value` for JSON (the
+manifest here, the experiment config in `cli`), `_read_exact` and
+`_check_payload` for binary (blobs here, checkpoints in `net`).
+
 Each dataset-sized array exists once on the way from `make_synthetic`
 through `save_dataset` and `load_dataset`: synthesis draws its noise into
 the output, blobs are written from the array's own buffer and read straight
@@ -14,8 +19,10 @@ into a new one, and no check allocates an array of the features' shape.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
+import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -36,8 +43,8 @@ SYNTH_BLOCK_BYTES = 8 << 20
 # float with a zero fraction no id
 _MANIFEST_CLASS_KEYS = {"id": int, "name": str, "super": int, "seen": bool,
                         "descriptor_blob": str, "descriptor_row": int}
-_JSON_TYPE_NAMES = {int: "a 64-bit integer", bool: "a boolean", str: "a string",
-                    list: "a list"}
+_JSON_KINDS = {int: "a 64-bit integer", float: "a finite number", bool: "a boolean",
+               str: "a string", list: "a list", tuple: "a list of numbers"}
 
 
 @dataclass
@@ -160,30 +167,42 @@ def _write_files(files) -> None:
         raise
 
 
+def _read_exact(f, n: int, what: str) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise DatasetFormatError(f"{what} truncated: {len(data)} of {n} bytes")
+    return data
+
+
+def _check_payload(f, expected: int, what: str) -> None:
+    """Raise unless exactly `expected` bytes are left in `f`. Readers call
+    this before allocating the payload, so a forged header costs no more
+    memory than the file's size."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if left != expected:
+        raise DatasetFormatError(
+            f"{what} payload is {left} bytes, headers declare {expected}: "
+            f"{'truncated' if left < expected else 'trailing bytes'}")
+
+
 def read_blob(path, dtype: str) -> np.ndarray:
     path = Path(path)
     if not path.exists():
         raise DatasetFormatError(f"missing blob {path.name}")
     with open(path, "rb") as f:
-        magic = f.read(4)
+        magic = _read_exact(f, 4, f"blob {path.name} magic")
         if magic != BLOB_MAGIC:
             raise DatasetFormatError(
                 f"bad magic {magic!r} in blob {path.name}, expected {BLOB_MAGIC!r}")
-        header = f.read(10)
-        if len(header) != 10:
-            raise DatasetFormatError(f"blob {path.name} truncated header")
-        version, rows, cols = struct.unpack("<HII", header)
+        version, rows, cols = struct.unpack(
+            "<HII", _read_exact(f, 10, f"blob {path.name} header"))
         if version != BLOB_VERSION:
             raise DatasetFormatError(
                 f"unsupported blob version {version} in {path.name}")
-        expected = rows * cols * np.dtype(dtype).itemsize
-        size = os.fstat(f.fileno()).st_size - f.tell()
-        if size == expected:
-            out = np.empty((rows, cols), dtype=dtype)
-            size = f.readinto(out)
-    if size != expected:
-        raise DatasetFormatError(
-            f"blob {path.name} payload is {size} bytes, expected {expected}")
+        _check_payload(f, rows * cols * np.dtype(dtype).itemsize, f"blob {path.name}")
+        out = np.empty((rows, cols), dtype=dtype)
+        if f.readinto(out) != out.nbytes:  # the file shrank after the check
+            raise DatasetFormatError(f"blob {path.name} payload truncated while reading")
     return out
 
 
@@ -221,31 +240,45 @@ def save_dataset(dataset: ZslDataset, manifest_path) -> None:
     ])
 
 
-def _json_field(obj: dict, key: str, kind: type, where: str):
-    """`obj[key]`, which must be exactly of the JSON type `kind`; integers
-    must also fit the int64 id columns."""
-    value = obj[key]
-    if type(value) is not kind or kind is int and not -2**63 <= value < 2**63:
-        raise DatasetFormatError(
-            f"{where} field {key!r} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+def _read_json_object(path, what: str, error: type) -> dict:
+    """The JSON object in the file at `path`. A missing file, bytes that are
+    not JSON text and a root that is not an object raise `error` naming the
+    file as `what`."""
+    try:
+        with open(path, "rb") as f:
+            value = json.load(f)
+    except FileNotFoundError:
+        raise error(f"{what} file not found: {path}") from None
+    except ValueError as e:  # not UTF-8 text, or not JSON
+        raise error(f"{what} is not valid JSON: {e}") from e
+    if type(value) is not dict:
+        raise error(f"{what} root must be a JSON object")
     return value
+
+
+def _json_value(value, kind, name: str, error: type):
+    """A value read from JSON as the type `kind`, or `error` naming it as
+    `name`. Nothing is coerced: a bool is no integer and "no" is not false.
+    An integer passes for a float; every integer must fit int64 and every
+    float be finite; `tuple[T, ...]` takes a list of T."""
+    if type(value) is int and kind in (int, float):
+        if -2**63 <= value < 2**63:
+            return kind(value)
+    elif type(value) is kind and (kind is not float or math.isfinite(value)):
+        return value
+    elif type(value) is list and typing.get_origin(kind) is tuple:
+        return tuple(_json_value(v, typing.get_args(kind)[0], name, error) for v in value)
+    raise error(f"{name} must be {_JSON_KINDS[typing.get_origin(kind) or kind]}, "
+                f"got {value!r}")
 
 
 def load_dataset(manifest_path) -> ZslDataset:
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise DatasetFormatError(f"missing manifest {manifest_path}")
-    try:
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-    except json.JSONDecodeError as e:
-        raise DatasetFormatError(f"manifest is not valid JSON: {e}") from e
-    if not isinstance(manifest, dict):
-        raise DatasetFormatError("manifest must be a JSON object")
+    manifest = _read_json_object(manifest_path, "manifest", DatasetFormatError)
     for key, kind in (("classes", list), ("features_blob", str), ("labels_blob", str)):
         if key not in manifest:
             raise DatasetFormatError(f"manifest missing field {key!r}")
-        _json_field(manifest, key, kind, "manifest")
+        _json_value(manifest[key], kind, f"manifest field {key!r}", DatasetFormatError)
     base = manifest_path.parent
     features = read_blob(base / manifest["features_blob"], "<f8")
     labels = read_blob(base / manifest["labels_blob"], "<u4").ravel().astype(np.int64)
@@ -259,7 +292,8 @@ def load_dataset(manifest_path) -> ZslDataset:
         missing = _MANIFEST_CLASS_KEYS.keys() - entry.keys()
         if missing:
             raise DatasetFormatError(f"class entry {i} missing fields {sorted(missing)}")
-        entries.append({key: _json_field(entry, key, kind, f"class entry {i}")
+        entries.append({key: _json_value(entry[key], kind, f"class entry {i} field '{key}'",
+                                         DatasetFormatError)
                         for key, kind in _MANIFEST_CLASS_KEYS.items()})
         blob, row = entry["descriptor_blob"], entry["descriptor_row"]
         if blob != entries[0]["descriptor_blob"] or row != i:
@@ -313,17 +347,16 @@ class SyntheticConfig:
     seed: int = 0
 
     def validate(self) -> "SyntheticConfig":
-        counts = (self.n_super, self.classes_per_super, self.instances_per_class,
-                  self.text_dim, self.feature_dim, self.noise_dim)
-        if any(c < 1 for c in counts):
-            raise InvalidConfigError(f"all synthetic counts must be >= 1: {self}")
+        for name, low in (("n_super", 1), ("classes_per_super", 1),
+                          ("instances_per_class", 1), ("text_dim", 1), ("feature_dim", 1),
+                          ("noise_dim", 1), ("descriptor_noise", 0), ("feature_noise", 0)):
+            if not getattr(self, name) >= low:
+                raise InvalidConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.split_mode not in ("easy", "hard"):
             raise InvalidConfigError(f"split_mode must be easy or hard, got {self.split_mode!r}")
         if not 0.0 < self.unseen_fraction < 1.0:
             raise InvalidConfigError(
                 f"unseen_fraction must be in (0, 1), got {self.unseen_fraction}")
-        if self.descriptor_noise < 0 or self.feature_noise < 0:
-            raise InvalidConfigError("noise scales must be nonnegative")
         return self
 
 

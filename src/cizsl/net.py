@@ -19,14 +19,13 @@ like the losses, answers per model, with B = 1 for one.
 """
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import _write_files
+from .data import _check_payload, _read_exact, _write_files
 from .errors import DatasetFormatError, InvalidInputError, InvalidStateError
 from .numerics import RngStream
 
@@ -546,45 +545,33 @@ def save_checkpoint(path, gen: Generator, disc: Discriminator) -> None:
                                           for model in (gen, disc))])])
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise DatasetFormatError(f"checkpoint truncated while reading {what}")
-    return data
-
-
 def load_checkpoint(path) -> tuple[Generator, Discriminator]:
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
+        magic = _read_exact(f, 4, "checkpoint magic")
         if magic != CHECKPOINT_MAGIC:
             raise DatasetFormatError(
                 f"bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-        (version,) = struct.unpack("<H", _read_exact(f, 2, "version"))
+        (version,) = struct.unpack("<H", _read_exact(f, 2, "checkpoint version"))
         if version != CHECKPOINT_VERSION:
             raise DatasetFormatError(
                 f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-        (n_nets,) = struct.unpack("<I", _read_exact(f, 4, "network count"))
+        (n_nets,) = struct.unpack("<I", _read_exact(f, 4, "checkpoint network count"))
         if n_nets != 3:
             raise DatasetFormatError(f"expected 3 stored networks, found {n_nets}")
-        (noise_dim,) = struct.unpack("<I", _read_exact(f, 4, "noise dim"))
+        (noise_dim,) = struct.unpack("<I", _read_exact(f, 4, "checkpoint noise dim"))
         headers = []
         for _ in range(n_nets):
-            (n_layers,) = struct.unpack("<I", _read_exact(f, 4, "layer count"))
+            (n_layers,) = struct.unpack("<I", _read_exact(f, 4, "checkpoint layer count"))
             layers = []
             for _ in range(n_layers):
                 in_dim, out_dim, tag, slope = struct.unpack(
-                    "<IIBd", _read_exact(f, 17, "layer header"))
+                    "<IIBd", _read_exact(f, 17, "checkpoint layer header"))
                 if tag >= len(ACTIVATIONS):
                     raise DatasetFormatError(f"unknown activation tag {tag}")
                 layers.append((in_dim, out_dim, tag, slope))
             headers.append(layers)
-        # allocate nothing before the headers agree with the file's size
-        n_params = sum(o * (i + 1) for net in headers for i, o, _, _ in net)
-        left = os.fstat(f.fileno()).st_size - f.tell()
-        if left != 8 * n_params:
-            raise DatasetFormatError(
-                f"checkpoint {'truncated' if left < 8 * n_params else 'has trailing bytes'}:"
-                f" headers declare {8 * n_params} parameter bytes, {left} follow them")
+        _check_payload(f, 8 * sum(o * (i + 1) for net in headers for i, o, _, _ in net),
+                       "checkpoint")
         embed, trunk, d_net = (
             MlpNetwork([Layer(weight=np.zeros((o, i)), bias=np.zeros(o),
                               activation=ACTIVATIONS[tag], slope=slope)
@@ -592,6 +579,6 @@ def load_checkpoint(path) -> tuple[Generator, Discriminator]:
         gen = Generator(embed=embed, trunk=trunk, noise_dim=noise_dim)
         disc = Discriminator(net=d_net, n_classes=d_net.out_dim - 1)
         for model in (gen, disc):
-            raw = _read_exact(f, 8 * model.n_params, "parameters")
+            raw = _read_exact(f, 8 * model.n_params, "checkpoint parameters")
             model.params[...] = np.frombuffer(raw, dtype="<f8")
     return gen, disc

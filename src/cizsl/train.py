@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import ZslDataset, class_means, split_train_val
-from .divergence import DivergenceParams
+from .divergence import MODES, DivergenceParams
 from .errors import InvalidConfigError, InvalidInputError, InvalidSplitError, TrainingDivergedError
 from .evaluate import generalized_curve
 from .losses import ALPHA_MODES, discriminator_loss, generator_loss, hallucinate_batch
@@ -58,22 +58,20 @@ class TrainConfig:
         for name in ("adam_beta1", "adam_beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise InvalidConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if self.n_critic < 1:
-            raise InvalidConfigError(f"n_critic must be >= 1, got {self.n_critic}")
-        if self.n_steps < 0:
-            raise InvalidConfigError(f"n_steps must be >= 0, got {self.n_steps}")
-        if self.batch_size < 2:
-            raise InvalidConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        for name, low in (("n_critic", 1), ("n_steps", 0), ("batch_size", 2),
+                          ("gp_weight", 0), ("eval_interval", 1), ("noise_dim", 1),
+                          ("text_embed_dim", 1), ("hidden_dim", 1)):
+            if not getattr(self, name) >= low:
+                raise InvalidConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.alpha_mode not in ALPHA_MODES:
             raise InvalidConfigError(
                 f"alpha_mode {self.alpha_mode!r} not in {ALPHA_MODES}")
-        if not self.gp_weight >= 0:
-            raise InvalidConfigError(f"gp_weight must be >= 0, got {self.gp_weight}")
-        if self.eval_interval < 1:
-            raise InvalidConfigError(f"eval_interval must be >= 1, got {self.eval_interval}")
-        if self.noise_dim < 1 or self.text_embed_dim < 1 or self.hidden_dim < 1:
-            raise InvalidConfigError("network dims must be >= 1")
-        free = self.divergence().validate().free
+        if self.divergence_mode not in MODES:
+            raise InvalidConfigError(
+                f"divergence_mode must be one of {MODES}, got {self.divergence_mode!r}")
+        if not self.gamma_init > 0:
+            raise InvalidConfigError(f"gamma_init must be > 0, got {self.gamma_init}")
+        free = self.divergence().free
         for name, learn in (("gamma", self.learn_gamma), ("beta", self.learn_beta)):
             if learn and name not in free:
                 raise InvalidConfigError(

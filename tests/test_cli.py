@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import cizsl.data
-from cizsl.cli import load_experiment_config, main
+from cizsl.cli import EvalOptions, ExperimentConfig, load_experiment_config, main
 from cizsl.data import SyntheticConfig, ZslDataset, make_synthetic, save_dataset
 from cizsl.evaluate import synthesize_centers, zsl_top1
 from cizsl.net import Generator, Layer, MlpNetwork, load_checkpoint, save_checkpoint
 from cizsl.numerics import STREAM_EVAL, RngStream
+from cizsl.train import TrainConfig
 from helpers import fail_halfway_through, write_blob
 
 
@@ -135,12 +136,24 @@ class TestTrainCommand:
         ("eval", "retrieval_ratios", 0.5),
         ("eval", "retrieval_ratios", [0.5, "1"]),
         ("synthetic", "nonlinear", 1),
+        # every JSON integer must fit int64, also where a float is expected
+        pytest.param("train", "learning_rate", 10**400, id="train-learning_rate-10**400"),
+        pytest.param("train", "n_steps", 2**64, id="train-n_steps-2**64"),
+        pytest.param("eval", "samples_per_center", 2**70, id="eval-samples_per_center-2**70"),
     ])
     def test_mistyped_field_exits_1_naming_it(self, tmp_path, capsys, section, key, value):
         cfg = write_config(tmp_path / "cfg.json", **{section: {key: value}})
         code, _, err = run_cli(capsys, "train", "--config", str(cfg))
         assert code == 1
         assert f"{section}.{key}" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_seed_outside_int64_exits_1_naming_it(self, tmp_path, capsys):
+        # the seed is written to config.json, which must read back
+        cfg = write_config(tmp_path / "cfg.json")
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--seed", str(2**63))
+        assert code == 1
+        assert err == f"error: --seed must be a 64-bit integer, got {2**63}\n"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("key,value", [("out_dir", 3), ("dataset", None)])
@@ -163,6 +176,14 @@ class TestTrainCommand:
         ("train", "gp_weight", float("nan")),
         ("synthetic", "feature_noise", float("nan")),
         ("eval", "retrieval_ratios", [0.5, float("inf")]),
+        ("train", "noise_dim", 0),
+        ("train", "text_embed_dim", 0),
+        ("train", "hidden_dim", 0),
+        ("train", "divergence_mode", "x"),
+        ("train", "gamma_init", -1),
+        ("synthetic", "descriptor_noise", -0.1),
+        ("synthetic", "feature_noise", -0.1),
+        ("synthetic", "n_super", 0),
     ])
     def test_non_finite_or_out_of_range_setting_exits_1(self, tmp_path, capsys,
                                                         section, key, value):
@@ -197,9 +218,41 @@ class TestTrainCommand:
 
     def test_not_json_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{nope")
-        code, _, err = run_cli(capsys, "train", "--config", str(bad))
-        assert code == 1
+        for text in (b"{nope", b"\xff{}"):  # not JSON; not UTF-8
+            bad.write_bytes(text)
+            code, _, err = run_cli(capsys, "train", "--config", str(bad))
+            assert code == 1
+            assert err.startswith("error: config is not valid JSON")
+
+    def test_value_palette_over_every_field_exits_0_or_1(self, tmp_path, capsys):
+        # each config field, sections and top-level paths included, set to
+        # each value of a palette of wrong types, edge numbers and JSON
+        # values no field takes: `synth` returns 0, or 1 with one error line
+        palette = ["x", True, None, float("nan"), 1e308, -1, 2**64, 10**400, [1], {}]
+        sections = {"train": TrainConfig, "eval": EvalOptions, "synthetic": SyntheticConfig}
+        fields = [(None, f.name) for f in dataclasses.fields(ExperimentConfig)]
+        fields += [(section, f.name) for section, cls in sections.items()
+                   for f in dataclasses.fields(cls)]
+        assert len(fields) == 41
+        base = write_config(tmp_path / "cfg.json").read_text()
+        failures = []
+        for section, key in fields:
+            for value in palette:
+                raw = json.loads(base)
+                (raw if section is None else raw[section])[key] = value
+                (tmp_path / "cfg.json").write_text(json.dumps(raw))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    try:
+                        code, _, err = run_cli(capsys, "synth", "--config",
+                                               str(tmp_path / "cfg.json"),
+                                               "--out", str(tmp_path / "ds"))
+                    except Exception as e:
+                        failures.append(f"{section}.{key}={value!r:.20}: {e!r}")
+                        continue
+                errors = [line for line in err.splitlines() if line.startswith("error: ")]
+                if code not in (0, 1) or len(errors) != (code == 1):
+                    failures.append(f"{section}.{key}={value!r:.20}: exit {code}, {err!r}")
+        assert failures == []
 
     def test_both_dataset_and_synthetic_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", dataset="something.json")

@@ -167,6 +167,13 @@ class TestManifestRoundTrip:
         with pytest.raises(DatasetFormatError, match=expected):
             load_dataset(tmp_path / "ds.json")
 
+    @pytest.mark.parametrize("text", [b"{nope", b"\xff{}"], ids=["not-json", "not-utf8"])
+    def test_manifest_not_json_rejected(self, tmp_path, text):
+        save_dataset(make_synthetic(small_config()), tmp_path / "ds.json")
+        (tmp_path / "ds.json").write_bytes(text)
+        with pytest.raises(DatasetFormatError, match="manifest is not valid JSON"):
+            load_dataset(tmp_path / "ds.json")
+
     def test_entry_naming_another_blob_rejected_naming_it(self, tmp_path):
         save_dataset(make_synthetic(small_config()), tmp_path / "ds.json")
         write_blob(tmp_path / "wide.czfd", np.ones((1, 9)), "<f8")

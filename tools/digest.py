@@ -8,12 +8,17 @@ directory: `synth` on the base config and on an easy-split, linear variant
 (the manifest and the three blobs), `train` with the default config, with
 `creativity_enabled: false`, with the extra-class ablation under the renyi
 divergence, under kl (nothing learned) and under tsallis (gamma learned,
-beta tied to it), then `sweep-lambda`, `eval` and `retrieve` on the
-default run's final checkpoint, `eval` and `retrieve` once more on it with
-`"eval": {"metric": "cosine"}` (the cosine distances, curve and ranking),
-`train`, `eval` and `retrieve` on the base synth's manifest (the path that
-reads a dataset from disk), and `gradcheck --seed 0`.
-SEED overrides the config seeds of every command but gradcheck. The
+beta tied to it), `train` once more from the default run's written
+`config.json` (`train-from-snapshot`), then `sweep-lambda`, `eval` and
+`retrieve` on the default run's final checkpoint, `eval` and `retrieve`
+once more on it with `"eval": {"metric": "cosine"}` (the cosine distances,
+curve and ranking), `train`, `eval` and `retrieve` on the base synth's
+manifest (the path that reads a dataset from disk), and `gradcheck --seed 0`.
+SEED overrides the config seeds of every command but gradcheck and
+`train-from-snapshot`, which reads its seed from the snapshot. The tool
+exits with an error unless every `train-from-snapshot` hash equals the
+matching `train-default` hash: the snapshot must read back as the config
+that wrote it. The
 manifest config names its dataset by a path relative to the temporary
 directory, so its `config.json` snapshot hashes the same from any
 directory. Prints one `sha256  artifact` line per output file and per
@@ -99,6 +104,15 @@ def main(argv: list[str]) -> int:
             cfg.write_text(json.dumps({**BASE_CONFIG,
                                        "train": {**BASE_CONFIG["train"], **train}}))
             _run(work, label, ["train", "--config", str(cfg), "--seed", seed], lines)
+        # the default run once more from its own config.json, with no --seed:
+        # the snapshot must read back as the config that wrote it
+        _run(work, "train-from-snapshot",
+             ["train", "--config", str(work / "train-default" / "config.json")], lines)
+        runs = [{key.partition("/")[2]: value for key, value in lines.items()
+                 if key.startswith(f"{label}/")}
+                for label in ("train-default", "train-from-snapshot")]
+        if runs[0] != runs[1]:
+            sys.exit("train from the default run's config.json gave other outputs")
         common = ["--config", str(work / "train-default.json"), "--seed", seed]
         checkpoint = str(work / "train-default" / "checkpoint_final.czsl")
         _run(work, "sweep-lambda", ["sweep-lambda", *common], lines)
